@@ -16,12 +16,10 @@ and a multiset of nonzero integer weights.  On top of that data it provides:
 """
 
 from fpkit.algebra import (
-    BigRational,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
     geometric_rewrite,
-    poly_arith,
     poly_gcd,
     ratfun_sum,
 )
@@ -29,13 +27,10 @@ from fpkit.data import (
     DataFormatError,
     FixedPointData,
     FixedPointDatum,
-    chern_map,
     check_congruence,
     default_isotropy_partition,
-    index_of,
     parse_data,
     serialize_data,
-    weight_count,
 )
 from fpkit.genus import (
     GenusReport,
@@ -59,7 +54,6 @@ from fpkit.multigraph import (
 from fpkit.classify import (
     SearchBounds,
     TrichotomyVerdict,
-    enumerate_candidates,
     random_graph_data,
     survey,
     trichotomy_match,
@@ -68,24 +62,19 @@ from fpkit.classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "Polynomial",
     "RationalFunction",
     "TruncatedSeries",
     "geometric_rewrite",
-    "poly_arith",
     "poly_gcd",
     "ratfun_sum",
     "DataFormatError",
     "FixedPointData",
     "FixedPointDatum",
-    "chern_map",
     "check_congruence",
     "default_isotropy_partition",
-    "index_of",
     "parse_data",
     "serialize_data",
-    "weight_count",
     "GenusReport",
     "chi_counting",
     "chi_series",
@@ -104,7 +93,6 @@ __all__ = [
     "sub_multigraph",
     "SearchBounds",
     "TrichotomyVerdict",
-    "enumerate_candidates",
     "random_graph_data",
     "survey",
     "trichotomy_match",

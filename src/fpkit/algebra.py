@@ -27,9 +27,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-#: Exact arbitrary-precision rational scalar used for every coefficient.
-BigRational = Fraction
-
 Scalar = Union[int, Fraction]
 
 #: Degree of the zero polynomial.
@@ -268,23 +265,6 @@ def one_minus_power(exponent: int) -> Polynomial:
     if exponent < 1:
         raise ValueError("exponent must be positive")
     return Polynomial.from_terms({0: 1, exponent: -1})
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str):
-    """Dispatch basic polynomial arithmetic by name.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``, ``divmod``; ``divmod`` returns
-    a (quotient, remainder) pair, everything else a single polynomial.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "divmod":
-        return divmod(a, b)
-    raise ValueError(f"unknown polynomial operation {op!r}")
 
 
 # -- greatest common divisor ----------------------------------------------

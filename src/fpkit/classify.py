@@ -1,10 +1,9 @@
 """Brute-force survey of small fixed-point data sets, and random graph data.
 
-`enumerate_candidates` walks every data set within given bounds (k points,
-half-dimension n, weight magnitudes up to W) in a deterministic order and runs
-the identity suite on each.  `survey` tallies which checker rejects each
-candidate and classifies the two-point survivors against the three realizable
-shapes:
+`survey` walks every data set within given bounds (k points, half-dimension
+n, weight magnitudes up to W) in a deterministic order, tallies which checker
+rejects each candidate and classifies the two-point survivors against the
+three realizable shapes:
 
 * ``dim2-samesign``  — n = 1, equal signs, weights {a} and {-a};
 * ``dim6-samesign``  — n = 3, equal signs, weights {-a-b, a, b} and
@@ -27,13 +26,8 @@ import random
 from dataclasses import dataclass
 
 from fpkit.data import FixedPointData, FixedPointDatum
-from fpkit.identities import evaluate_filters, validate_all
-from fpkit.multigraph import (
-    Edge,
-    SignedMultigraph,
-    build_multigraph,
-    induced_data,
-)
+from fpkit.identities import evaluate_filters
+from fpkit.multigraph import SignedMultigraph, build_multigraph, induced_data
 from fpkit.parallel import parallel_map
 
 #: Checker names in evaluation order, used to key rejection tallies.
@@ -118,19 +112,6 @@ def _candidate(specs: tuple[tuple[int, tuple[int, ...]], ...], n: int) -> FixedP
         for index, (sign, weights) in enumerate(specs)
     )
     return FixedPointData("", n, points)
-
-
-def enumerate_candidates(bounds: SearchBounds):
-    """Yield (data, outcomes) for every candidate within the bounds.
-
-    Candidates are multisets of (sign, weights) specs — point order carries
-    no information — enumerated in a fixed lexicographic order with ids
-    p1..pk.  Outcomes are the full non-strict identity suite.
-    """
-    universe = _point_universe(bounds)
-    for specs in itertools.combinations_with_replacement(universe, bounds.points):
-        data = _candidate(specs, bounds.half_dim)
-        yield data, validate_all(data)
 
 
 def trichotomy_match(data: FixedPointData) -> TrichotomyVerdict:
@@ -253,8 +234,7 @@ def survey(bounds: SearchBounds) -> SurveyReport:
 # matching of that data.  Realizable data always satisfies the per-level slot
 # balance, so the induced_data -> build_multigraph -> describes round trip
 # closes by construction; a uniform configuration-model draw would almost
-# never satisfy it beyond the smallest shapes.  The unfiltered sampler is
-# kept (module-private) for tests that need arbitrary graphs.
+# never satisfy it beyond the smallest shapes.
 
 #: (sign, sorted weights) for one point; a block is a tuple of such specs.
 _Block = tuple[tuple[int, tuple[int, ...]], ...]
@@ -381,31 +361,6 @@ def _compose(
     left = _compose(rng, plan[1], plan[2], max_weight)
     right = _compose(rng, plan[3], plan[4], max_weight)
     return _product(left, right)
-
-
-def _sample_multigraph(
-    rng: random.Random, points: int, degree: int, max_label: int
-) -> "SignedMultigraph | None":
-    """One unfiltered configuration-model draw; None on a self-loop.
-
-    Test hook only: such graphs satisfy the balance and Chern-sum identities
-    but usually cannot be rebuilt by the per-level matching.
-    """
-    vertices = tuple(
-        (f"p{index + 1}", rng.choice((1, -1))) for index in range(points)
-    )
-    stubs = [index for index in range(points) for _ in range(degree)]
-    rng.shuffle(stubs)
-    edges: list[Edge] = []
-    for edge_id, position in enumerate(range(0, len(stubs), 2)):
-        left, right = stubs[position], stubs[position + 1]
-        if left == right:
-            return None
-        label = rng.randint(1, max_label)
-        if rng.random() < 0.5:
-            left, right = right, left
-        edges.append(Edge(edge_id, vertices[left][0], vertices[right][0], label))
-    return SignedMultigraph(vertices, tuple(edges))
 
 
 def random_multigraph(

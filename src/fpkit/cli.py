@@ -24,9 +24,9 @@ from fpkit.data import (
     serialize_data,
 )
 from fpkit.genus import (
-    chi_counting,
     chi_series,
     chi_symbolic,
+    counting_report,
     default_series_order,
     txy_evaluate,
 )
@@ -218,11 +218,11 @@ def cmd_genus(args: argparse.Namespace) -> int:
     order = args.series_order
     if order is None:
         order = default_series_order(data)
-    report = chi_counting(data)
+    symbolics = [chi_symbolic(data, i) for i in range(data.n + 1)]
+    report = counting_report(data, all(symbolic.constant for symbolic in symbolics))
     txy = txy_evaluate(data)
     components = []
-    for i in range(data.n + 1):
-        symbolic = chi_symbolic(data, i)
+    for i, symbolic in enumerate(symbolics):
         series = chi_series(data, i, order)
         components.append(
             {
@@ -366,7 +366,14 @@ def cmd_random(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     data = load_data(args.file)
     validation = _validation_payload(data, strict=True)
-    genus = chi_counting(data).to_dict()
+    # symbolic_constancy tests the property GenusReport.symbolic_constant
+    # records, so its verdict is reused instead of a second symbolic pass.
+    constant = next(
+        check["passed"]
+        for check in validation["checks"]
+        if check["name"] == "symbolic_constancy"
+    )
+    genus = counting_report(data, constant).to_dict()
     abbv = [abbv_c1_power(data, j).to_dict() for j in range(data.n)]
     payload: dict = {
         "name": data.name,

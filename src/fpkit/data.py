@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class DataFormatError(ValueError):
@@ -139,6 +139,8 @@ def _check_partition_shape(
 ) -> None:
     if modulus < 1:
         raise DataFormatError(f"malformed partition: modulus {modulus} is not positive")
+    if not all(partition):
+        raise DataFormatError(f"malformed partition for modulus {modulus}: empty block")
     covered: list[str] = [pid for block in partition for pid in block]
     if sorted(covered) != sorted(ids):
         raise DataFormatError(
@@ -238,24 +240,6 @@ def serialize_data(data: FixedPointData) -> str:
             for modulus in sorted(data.isotropy_components)
         }
     return json.dumps(doc, indent=2) + "\n"
-
-
-# -- per-point statistics --------------------------------------------------
-
-
-def index_of(data: FixedPointData, point_id: str) -> int:
-    """Number of negative weights at the given point."""
-    return data.point(point_id).index
-
-
-def weight_count(data: FixedPointData, point_id: str, w: int) -> int:
-    """Multiplicity of the signed weight w at the given point (w != 0)."""
-    return data.point(point_id).multiplicity(w)
-
-
-def chern_map(data: FixedPointData) -> dict[str, int]:
-    """Map each point id to the sum of its weights."""
-    return {p.id: p.chern_value for p in data.points}
 
 
 # -- isotropy partitions ---------------------------------------------------

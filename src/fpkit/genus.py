@@ -170,6 +170,15 @@ def default_series_order(data: FixedPointData) -> int:
     return 1 + sum(abs(w) for point in data.points for w in point.weights)
 
 
+def counting_report(data: FixedPointData, symbolic_constant: bool) -> GenusReport:
+    """The genus report read off signs and indices, with the given flag."""
+    counts = signed_index_counts(data)
+    chi = tuple((-1) ** i * c for i, c in enumerate(counts))
+    return GenusReport(
+        chi=chi, N=counts, todd=chi[0], symbolic_constant=symbolic_constant, txy=chi
+    )
+
+
 def chi_counting(data: FixedPointData) -> GenusReport:
     """The full genus report from the counting route.
 
@@ -177,10 +186,8 @@ def chi_counting(data: FixedPointData) -> GenusReport:
     is probed only for the ``symbolic_constant`` flag, which reports whether
     every component reduced to a constant rational function.
     """
-    counts = signed_index_counts(data)
-    chi = tuple((-1) ** i * c for i, c in enumerate(counts))
     constant = all(chi_symbolic(data, i).constant for i in range(data.n + 1))
-    return GenusReport(chi=chi, N=counts, todd=chi[0], symbolic_constant=constant, txy=chi)
+    return counting_report(data, constant)
 
 
 def txy_evaluate(data: FixedPointData) -> tuple[int, ...]:

@@ -10,8 +10,8 @@ suite doubles as a realizability filter for the brute-force classifier:
 * parity — for every w > 0, the total number of weights equal to +-w is even;
 * an odd number of points forces even n;
 * the signed sum of the weight sums (first Chern values) vanishes;
-* per-index balance for the minimal weight magnitude a, together with the
-  three-term identity linking indices i-1, i, i+1;
+* per-index balance for the minimal weight magnitude a (which implies the
+  three-term identity linking indices i-1, i, i+1);
 * localization sums: sum_p eps(p) * c1(p)^j / prod(weights) = 0 for
   0 <= j < n;
 * Chern-map structure: with at most n distinct weight sums, each value
@@ -105,18 +105,18 @@ def check_min_weight_balance(data: FixedPointData) -> CheckOutcome:
 
     With a the smallest |weight| over all points, the weight a at index-i
     points must balance the weight -a at index-(i+1) points, sign-weighted,
-    for every i; the related three-term identity ties indices i-1, i, i+1.
+    for every i.  This implies the three-term identity tying indices i-1, i,
+    i+1, because index-0 points carry no -a and index-n points no +a.
     Raises ``ValueError`` on empty data (no minimum exists).
     """
     if not data.points:
         raise ValueError("minimal weight magnitude is undefined without points")
     a = min(abs(w) for p in data.points for w in p.weights)
-    n = data.n
 
     def level(i: int, w: int) -> int:
         return sum(p.sign * p.multiplicity(w) for p in data.points if p.index == i)
 
-    for i in range(n):
+    for i in range(data.n):
         lhs = level(i, a)
         rhs = level(i + 1, -a)
         if lhs != rhs:
@@ -124,15 +124,6 @@ def check_min_weight_balance(data: FixedPointData) -> CheckOutcome:
                 "min_weight_index_balance",
                 False,
                 {"a": a, "i": i, "identity": "per-index", "lhs": lhs, "rhs": rhs},
-            )
-    for i in range(n + 1):
-        lhs = level(i, a) + level(i, -a)
-        rhs = (level(i - 1, a) if i > 0 else 0) + (level(i + 1, -a) if i < n else 0)
-        if lhs != rhs:
-            return CheckOutcome(
-                "min_weight_index_balance",
-                False,
-                {"a": a, "i": i, "identity": "three-term", "lhs": lhs, "rhs": rhs},
             )
     return CheckOutcome("min_weight_index_balance", True)
 

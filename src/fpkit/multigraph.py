@@ -82,15 +82,11 @@ class MatchingSlot:
 
     Sorting is by (point id, slot index); the slot index is the weight's
     position in the point's sorted weight tuple, which makes ties
-    deterministic.  ``side`` is ``source-side`` or ``target-side``; the
-    ``case_tag`` (one of a/b/c/d, keyed by the two endpoint signs) is filled
-    in once the slot has been paired.
+    deterministic.
     """
 
     point_id: str
     slot_index: int
-    side: str = field(compare=False)
-    case_tag: str = field(compare=False, default="")
 
 
 @dataclass(frozen=True)
@@ -216,10 +212,7 @@ def build_multigraph(
                         level = f_index - 1
                     else:
                         continue
-                    side = "source-side" if onto is sources else "target-side"
-                    onto.setdefault(level, []).append(
-                        MatchingSlot(member.id, slot_index, side)
-                    )
+                    onto.setdefault(level, []).append(MatchingSlot(member.id, slot_index))
             for level in sorted(set(sources) | set(targets)):
                 source_side = sorted(sources.get(level, []))
                 target_side = sorted(targets.get(level, []))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from fpkit.algebra import Polynomial
 from fpkit.data import FixedPointData, FixedPointDatum, load_data
+from fpkit.multigraph import Edge, SignedMultigraph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -27,6 +29,31 @@ def make_data(half_dim, points, name="test", isotropy=None):
         tuple(FixedPointDatum(i, s, tuple(w)) for i, s, w in points),
         isotropy or {},
     )
+
+
+def sample_multigraph(
+    rng: random.Random, points: int, degree: int, max_label: int
+) -> "SignedMultigraph | None":
+    """One unfiltered configuration-model draw; None on a self-loop.
+
+    Such graphs satisfy the balance and Chern-sum identities but usually
+    cannot be rebuilt by the per-level matching.
+    """
+    vertices = tuple(
+        (f"p{index + 1}", rng.choice((1, -1))) for index in range(points)
+    )
+    stubs = [index for index in range(points) for _ in range(degree)]
+    rng.shuffle(stubs)
+    edges: list[Edge] = []
+    for edge_id, position in enumerate(range(0, len(stubs), 2)):
+        left, right = stubs[position], stubs[position + 1]
+        if left == right:
+            return None
+        label = rng.randint(1, max_label)
+        if rng.random() < 0.5:
+            left, right = right, left
+        edges.append(Edge(edge_id, vertices[left][0], vertices[right][0], label))
+    return SignedMultigraph(vertices, tuple(edges))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from fpkit.algebra import (
     TruncatedSeries,
     geometric_rewrite,
     one_minus_power,
-    poly_arith,
     poly_gcd,
     ratfun_sum,
 )
@@ -165,16 +164,6 @@ def test_one_minus_power():
     assert one_minus_power(3) == P(1, 0, 0, -1)
     with pytest.raises(ValueError):
         one_minus_power(0)
-
-
-def test_poly_arith_dispatch():
-    a, b = P(1, 1), P(0, 1)
-    assert poly_arith(a, b, "add") == a + b
-    assert poly_arith(a, b, "sub") == a - b
-    assert poly_arith(a, b, "mul") == a * b
-    assert poly_arith(a, b, "divmod") == divmod(a, b)
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "pow")
 
 
 class TestPolyGcd:

@@ -9,7 +9,6 @@ from fpkit.classify import (
     FLAG_TEXT,
     SearchBounds,
     TrichotomyVerdict,
-    enumerate_candidates,
     random_graph_data,
     random_multigraph,
     survey,
@@ -113,16 +112,12 @@ class TestEnumeration:
     def test_candidate_count(self):
         # n=1, W=1: two weight choices and two signs make 4 point specs;
         # unordered pairs with repetition: 4*5/2 = 10
-        results = list(enumerate_candidates(SearchBounds(2, 1, 1)))
-        assert len(results) == 10
-        data, outcomes = results[0]
-        assert data.ids == ("p1", "p2")
-        assert len(outcomes) == len(FILTER_NAMES)
+        report = survey(SearchBounds(2, 1, 1))
+        assert report.candidates == 10
+        assert [p["id"] for p in report.survivors[0]["points"]] == ["p1", "p2"]
 
     def test_deterministic_order(self):
-        first = [d.points for d, _ in enumerate_candidates(SearchBounds(2, 1, 1))]
-        second = [d.points for d, _ in enumerate_candidates(SearchBounds(2, 1, 1))]
-        assert first == second
+        assert survey(SearchBounds(2, 1, 1)) == survey(SearchBounds(2, 1, 1))
 
 
 class TestSurvey:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+import fpkit.cli
+import fpkit.genus
+import fpkit.identities
 from fpkit.cli import _format_chi_y, main
 from tests.conftest import GOLDEN, fixture_path
 
@@ -105,6 +109,20 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
         assert "positive even" in err
+
+    def test_empty_isotropy_block(self, capsys, tmp_path):
+        path = tmp_path / "empty_block.json"
+        path.write_text(
+            '{"dimension": 2, "fixed_points": '
+            '[{"id": "p", "sign": 1, "weights": [1]},'
+            ' {"id": "q", "sign": 1, "weights": [-1]}], '
+            '"isotropy_components": {"3": [["p", "q"], []]}}'
+        )
+        code, out, err = run(capsys, "validate", "--strict", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "empty block" in err
 
 
 class TestGenus:
@@ -335,6 +353,41 @@ class TestReport:
         assert code == 0
         assert "chi_y = 1 - y" in out
         assert "describes=True" in out
+
+
+@pytest.fixture
+def symbolic_calls(monkeypatch):
+    """Count chi_symbolic calls per component, through every import of it."""
+    calls: Counter = Counter()
+    original = fpkit.genus.chi_symbolic
+
+    def counted(data, i):
+        calls[i] += 1
+        return original(data, i)
+
+    for module in (fpkit.genus, fpkit.cli, fpkit.identities):
+        monkeypatch.setattr(module, "chi_symbolic", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["genus"], ["report"], ["validate", "--strict"]],
+    ids=["genus", "report", "validate-strict"],
+)
+@pytest.mark.parametrize("flipped", [False, True], ids=["s8", "s8-flipped"])
+def test_one_symbolic_pass_per_component(capsys, tmp_path, symbolic_calls, argv, flipped):
+    path = S8
+    if flipped:
+        # equal signs on identical weights: no component is constant
+        doc = json.loads(fixture_path("s8").read_text())
+        doc["fixed_points"][1]["sign"] = 1
+        path = tmp_path / "s8_flipped.json"
+        path.write_text(json.dumps(doc))
+    main(argv + [str(path)])
+    capsys.readouterr()
+    assert symbolic_calls
+    assert max(symbolic_calls.values()) == 1
 
 
 class TestParser:

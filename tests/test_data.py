@@ -13,14 +13,11 @@ from fpkit.data import (
     FixedPointData,
     FixedPointDatum,
     check_congruence,
-    chern_map,
     default_isotropy_partition,
-    index_of,
     load_data,
     parse_data,
     residue_signature,
     serialize_data,
-    weight_count,
 )
 from tests.conftest import FIXTURES, data_st, fixture_path, make_data
 
@@ -187,6 +184,13 @@ class TestParsing:
                 '"isotropy_components": {"2": [3]}}',
                 "list of lists",
             ),
+            (
+                '{"dimension": 2, "fixed_points": '
+                '[{"id": "p", "sign": 1, "weights": [1]},'
+                ' {"id": "q", "sign": 1, "weights": [-1]}], '
+                '"isotropy_components": {"3": [["p", "q"], []]}}',
+                "empty block",
+            ),
         ],
     )
     def test_malformed_documents(self, doc, message):
@@ -204,19 +208,6 @@ class TestParsing:
     @settings(max_examples=40)
     def test_round_trip_random(self, data):
         assert parse_data(serialize_data(data)) == data
-
-
-class TestStatistics:
-    def test_index_of(self, s6):
-        assert index_of(s6, "p") == 1
-        assert index_of(s6, "q") == 2
-
-    def test_weight_count(self, s2n):
-        assert weight_count(s2n, "p", 2) == 1
-        assert weight_count(s2n, "p", -2) == 0
-
-    def test_chern_map(self, s6):
-        assert chern_map(s6) == {"p": 0, "q": 0}
 
 
 class TestPartitions:

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpkit.classify import _sample_multigraph
+from fpkit.classify import random_graph_data
 from fpkit.identities import (
     CheckOutcome,
     abbv_c1_power,
@@ -25,9 +26,35 @@ from fpkit.identities import (
     validate_all,
 )
 from fpkit.multigraph import induced_data
-from tests.conftest import data_st, make_data
+from tests.conftest import data_st, make_data, sample_multigraph
 
 FIXTURE_NAMES = ["s2_a1", "s2_a3", "s6", "s2n", "s8", "semifree"]
+
+#: Arbitrary data, on which a check's premise rarely holds, mixed with
+#: realizable data, on which every premise holds.
+premise_data_st = st.one_of(
+    data_st(max_points=5),
+    st.builds(
+        lambda seed, shape: random_graph_data(seed, *shape, 5),
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 1), (4, 3), (5, 2), (6, 2)]),
+    ),
+)
+
+
+def assert_implication(premise, conclusion) -> None:
+    """premise(data) => conclusion(data), reached by at least one example."""
+    reached = []
+
+    @given(premise_data_st)
+    @settings(max_examples=200, deadline=None)
+    def implication(data):
+        if premise(data):
+            reached.append(data)
+            assert conclusion(data)
+
+    implication()
+    assert reached
 
 
 @pytest.fixture
@@ -98,6 +125,13 @@ class TestOddCountEvenDim:
         assert check_odd_count_even_n(make_data(1, [("p", 1, (1,)), ("q", 1, (1,))]))
         assert check_odd_count_even_n(make_data(1, []))
 
+    def test_parity_implies_odd_points_even_dim(self):
+        # the k * n weight slots split into even totals, so k * n is even
+        assert_implication(
+            lambda data: check_hattori_parity(data).passed,
+            lambda data: check_odd_count_even_n(data).passed,
+        )
+
 
 class TestC1Sum:
     def test_violation_witness(self):
@@ -108,6 +142,14 @@ class TestC1Sum:
     def test_fixtures_pass(self, all_fixture_data):
         for data in all_fixture_data:
             assert check_c1_sum(data)
+
+    def test_balance_implies_chern_sum(self):
+        # sum of sign * c1 = sum over w > 0 of w * (signed count of w minus
+        # signed count of -w)
+        assert_implication(
+            lambda data: check_weight_balance(data).passed,
+            lambda data: check_c1_sum(data).passed,
+        )
 
 
 class TestMinWeightBalance:
@@ -135,6 +177,26 @@ class TestMinWeightBalance:
     def test_empty_data_raises(self):
         with pytest.raises(ValueError, match="without points"):
             check_min_weight_balance(make_data(1, []))
+
+    def test_per_index_implies_three_term(self):
+        def three_term_holds(data) -> bool:
+            a = min(abs(w) for p in data.points for w in p.weights)
+            n = data.n
+
+            def level(i: int, w: int) -> int:
+                return sum(
+                    p.sign * p.multiplicity(w) for p in data.points if p.index == i
+                )
+
+            return all(
+                level(i, a) + level(i, -a)
+                == (level(i - 1, a) if i > 0 else 0) + (level(i + 1, -a) if i < n else 0)
+                for i in range(n + 1)
+            )
+
+        assert_implication(
+            lambda data: check_min_weight_balance(data).passed, three_term_holds
+        )
 
     def test_empty_data_vacuous_in_suite(self):
         outcomes = validate_all(make_data(1, []))
@@ -300,7 +362,7 @@ class TestGraphInducedInvariants:
     def test_unfiltered_graphs(self, points, degree):
         produced = 0
         for seed in range(200):
-            graph = _sample_multigraph(random.Random(seed), points, degree, 5)
+            graph = sample_multigraph(random.Random(seed), points, degree, 5)
             if graph is None:
                 continue
             data = induced_data(graph, degree)
