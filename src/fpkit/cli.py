@@ -28,7 +28,6 @@ from fpkit.genus import (
     chi_symbolic,
     counting_report,
     default_series_order,
-    txy_evaluate,
 )
 from fpkit.identities import abbv_c1_power, all_passed, validate_all
 from fpkit.multigraph import (
@@ -220,10 +219,14 @@ def cmd_genus(args: argparse.Namespace) -> int:
         order = default_series_order(data)
     symbolics = [chi_symbolic(data, i) for i in range(data.n + 1)]
     report = counting_report(data, all(symbolic.constant for symbolic in symbolics))
-    txy = txy_evaluate(data)
     components = []
     for i, symbolic in enumerate(symbolics):
         series = chi_series(data, i, order)
+        if not report.chi[i] == symbolic.constant_term == series.constant_term:
+            raise ArithmeticError(
+                f"genus routes disagree at component {i}: counting {report.chi[i]}, "
+                f"symbolic {symbolic.constant_term}, series {series.constant_term}"
+            )
         components.append(
             {
                 "i": i,
@@ -237,7 +240,7 @@ def cmd_genus(args: argparse.Namespace) -> int:
         "name": data.name,
         "report": report.to_dict(),
         "chi_y": _format_chi_y(report.chi),
-        "txy": list(txy),
+        "txy": list(report.txy),
         "series_order": order,
         "components": components,
     }

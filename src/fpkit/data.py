@@ -152,16 +152,26 @@ def _check_partition_shape(
 # -- parsing ---------------------------------------------------------------
 
 
+def _reject_unknown_keys(entry: dict, known: tuple[str, ...], where: str) -> None:
+    for key in entry:
+        if key not in known:
+            raise DataFormatError(f"unknown key {key!r}{where}")
+
+
 def parse_data(text: "str | bytes") -> FixedPointData:
     """Parse a JSON document into a :class:`FixedPointData`.
 
-    Raises :class:`DataFormatError` for structural problems (non-even
-    dimension, zero weights, duplicate ids, weight-count mismatches,
-    malformed partitions) and ``json.JSONDecodeError`` for unparseable text.
+    Raises :class:`DataFormatError` for structural problems (unknown keys,
+    non-even dimension, zero weights, duplicate ids, weight-count mismatches,
+    malformed partitions, two keys naming one modulus) and
+    ``json.JSONDecodeError`` for unparseable text.
     """
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise DataFormatError("top-level JSON value must be an object")
+    _reject_unknown_keys(
+        raw, ("name", "dimension", "fixed_points", "isotropy_components"), ""
+    )
 
     name = raw.get("name", "")
     if not isinstance(name, str):
@@ -184,6 +194,7 @@ def parse_data(text: "str | bytes") -> FixedPointData:
         pid = entry.get("id")
         if not isinstance(pid, str) or not pid:
             raise DataFormatError("each fixed point needs a nonempty string id")
+        _reject_unknown_keys(entry, ("id", "sign", "weights"), f" at {pid!r}")
         sign = entry.get("sign")
         if sign not in (1, -1) or isinstance(sign, bool):
             raise DataFormatError(f"sign must be +1 or -1 at {pid!r}")
@@ -195,6 +206,7 @@ def parse_data(text: "str | bytes") -> FixedPointData:
         points.append(FixedPointDatum(pid, sign, tuple(weights)))
 
     components: dict[int, Partition] = {}
+    keys: dict[int, str] = {}
     raw_components = raw.get("isotropy_components", {})
     if not isinstance(raw_components, dict):
         raise DataFormatError("isotropy_components must be an object")
@@ -213,6 +225,12 @@ def parse_data(text: "str | bytes") -> FixedPointData:
                 f"malformed partition for modulus {modulus}: expected a list "
                 "of lists of ids"
             )
+        if modulus in keys:
+            raise DataFormatError(
+                f"malformed partition: keys {keys[modulus]!r} and {key!r} both "
+                f"name modulus {modulus}"
+            )
+        keys[modulus] = key
         components[modulus] = tuple(tuple(block) for block in blocks)
 
     return FixedPointData(name, n, tuple(points), components)

@@ -14,13 +14,13 @@ the signed number of points with exactly i negative weights.  That identity is
 pure algebra and holds for arbitrary data; for data of an actual manifold the
 sum is moreover a constant.
 
-Two routes are implemented and kept independent so they can certify each
-other:
+Three computations are kept independent so they can certify each other:
 
 * the counting route reads N_i straight off the signs and indices;
-* the symbolic route builds the rational functions exactly (`chi_symbolic`)
-  and expands them as truncated series via the geometric rewrite
-  (`chi_series`), taking constant terms.
+* the symbolic route reduces the sum of rational functions (`chi_symbolic`)
+  and reads the constant term off the reduced function;
+* the series route (`chi_series`) expands every term as an integer power
+  series and never forms the reduced function.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from fpkit.algebra import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
-    geometric_rewrite,
     one_minus_power,
     ratfun_sum,
 )
@@ -90,9 +89,8 @@ class SymbolicChi:
     """One genus component from the symbolic route.
 
     ``function`` is the reduced rational function; ``constant`` says whether
-    it reduced to a constant; ``constant_term`` is the value at t = 0 taken
-    through the series route, which is defined even when the function is not
-    constant.
+    it reduced to a constant; ``constant_term`` is the function's value at
+    t = 0, which is defined even when the function is not constant.
     """
 
     function: RationalFunction
@@ -100,20 +98,18 @@ class SymbolicChi:
     constant_term: Fraction
 
 
-def _point_parts(point: FixedPointDatum, i: int) -> tuple[int, Polynomial]:
-    """Sign and numerator polynomial of one localization term.
+def _numerator(point: FixedPointDatum, i: int) -> list[int]:
+    """Integer coefficients of +-J_p, the numerator of one localization term.
 
     Multiplying the term by prod_{w<0} (-t^|w|)/(-t^|w|) clears all negative
-    exponents: the returned polynomial is t^(sum of |negative weights|) times
-    sigma_i evaluated at the weight monomials, and the returned sign is
-    eps(p) * (-1)^(number of negative weights).
+    exponents: J_p is t^(sum of |negative weights|) times sigma_i at the weight
+    monomials, with sign eps(p) * (-1)^(number of negative weights).
     """
     shift = sum(-w for w in point.weights if w < 0)
-    # Elementary symmetric polynomial in the monomials t^w, one weight at a
-    # time, stored as exponent -> coefficient (exponents may be negative
-    # until the shift is applied).
+    # Elementary symmetric polynomials in the monomials t^w, one weight at a
+    # time, as exponent -> coefficient maps (negative until shifted).
     elementary: list[dict[int, int]] = [{} for _ in range(i + 1)]
-    elementary[0][0] = 1
+    elementary[0][0] = point.sign * (-1 if point.index % 2 else 1)
     for w in point.weights:
         for k in range(i, 0, -1):
             lower = elementary[k - 1]
@@ -123,11 +119,8 @@ def _point_parts(point: FixedPointDatum, i: int) -> tuple[int, Polynomial]:
             for exponent, coefficient in lower.items():
                 key = exponent + w
                 target[key] = target.get(key, 0) + coefficient
-    numerator = Polynomial.from_terms(
-        {exponent + shift: c for exponent, c in elementary[i].items()}
-    )
-    lead_sign = point.sign * (-1 if point.index % 2 else 1)
-    return lead_sign, numerator
+    top = elementary[i]
+    return [top.get(e - shift, 0) for e in range(max(top) + shift + 1)]
 
 
 def chi_symbolic(data: FixedPointData, i: int) -> SymbolicChi:
@@ -136,33 +129,37 @@ def chi_symbolic(data: FixedPointData, i: int) -> SymbolicChi:
         raise ValueError(f"genus component index must lie in 0..{data.n}")
     terms = []
     for point in data.points:
-        lead_sign, numerator = _point_parts(point, i)
         denominator = Polynomial.one()
         for w in point.weights:
             denominator = denominator * one_minus_power(abs(w))
-        terms.append(RationalFunction(numerator.scaled(lead_sign), denominator))
+        terms.append(RationalFunction(Polynomial(_numerator(point, i)), denominator))
     total = ratfun_sum(terms)
-    constant_term = chi_series(data, i, 0).constant_term
+    # The reduced denominator divides +-prod (1 - t^|w|), so its value at 0 is +-1.
+    constant_term = total.numerator.constant_term / total.denominator.constant_term
     return SymbolicChi(total, total.is_constant, constant_term)
 
 
 def chi_series(data: FixedPointData, i: int, order: int) -> TruncatedSeries:
     """The i-th genus component expanded as a truncated series.
 
-    Each term's denominator factors are expanded individually with
-    `geometric_rewrite`, so this route never forms the reduced rational
-    function; it is the independent cross-check for `chi_symbolic`.
+    Every term J_p / prod (1 - t^|w|) is expanded in Python ints: dividing by
+    one factor 1 - t^m is the running sum c[k] += c[k - m], k = m..order.
+    This route never forms the reduced rational function, so it is the
+    independent cross-check for `chi_symbolic`.
     """
     if not 0 <= i <= data.n:
         raise ValueError(f"genus component index must lie in 0..{data.n}")
-    total = TruncatedSeries.zero(order)
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+    total = [0] * (order + 1)
     for point in data.points:
-        lead_sign, numerator = _point_parts(point, i)
-        term = numerator.to_series(order)
+        term = (_numerator(point, i) + [0] * (order + 1))[: order + 1]
         for w in point.weights:
-            term = term * geometric_rewrite(abs(w), order)
-        total = total + term * lead_sign
-    return total
+            m = abs(w)
+            for k in range(m, order + 1):
+                term[k] += term[k - m]
+        total = [a + b for a, b in zip(total, term)]
+    return TruncatedSeries(total)
 
 
 def default_series_order(data: FixedPointData) -> int:

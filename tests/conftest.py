@@ -15,6 +15,7 @@ from fpkit.multigraph import Edge, SignedMultigraph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ALL_FIXTURES = sorted(path.stem for path in FIXTURES.glob("*.json"))
 
 
 def fixture_path(name: str) -> Path:

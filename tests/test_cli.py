@@ -11,6 +11,8 @@ import fpkit.cli
 import fpkit.genus
 import fpkit.identities
 from fpkit.cli import _format_chi_y, main
+from fpkit.data import load_data
+from fpkit.genus import default_series_order
 from tests.conftest import GOLDEN, fixture_path
 
 S2 = str(fixture_path("s2_a3"))
@@ -123,6 +125,41 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "empty block" in err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                '{"dimension": 2, "fixed_points": '
+                '[{"id": "p", "sign": 1, "weights": [1]},'
+                ' {"id": "q", "sign": 1, "weights": [-1]}], '
+                '"isotropy_components": {"1": [["p"], ["q"]], "01": [["p", "q"]]}}',
+                "keys '1' and '01' both name modulus 1",
+            ),
+            (
+                '{"dimension": 2, "fixed_points": '
+                '[{"id": "p", "sign": 1, "weights": [1]},'
+                ' {"id": "q", "sign": 1, "weights": [-1]}], '
+                '"isotropy_component": {"1": [["p", "q"]]}}',
+                "unknown key 'isotropy_component'",
+            ),
+            (
+                '{"dimension": 2, "fixed_points": '
+                '[{"id": "p", "sign": 1, "wieghts": [1]},'
+                ' {"id": "q", "sign": 1, "weights": [-1]}]}',
+                "unknown key 'wieghts' at 'p'",
+            ),
+        ],
+        ids=["duplicate-modulus", "unknown-top-level-key", "unknown-point-key"],
+    )
+    def test_rejected_document(self, capsys, tmp_path, document, message):
+        path = tmp_path / "rejected.json"
+        path.write_text(document)
+        code, out, err = run(capsys, "validate", "--strict", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
 
 class TestGenus:
@@ -356,18 +393,27 @@ class TestReport:
 
 
 @pytest.fixture
-def symbolic_calls(monkeypatch):
-    """Count chi_symbolic calls per component, through every import of it."""
-    calls: Counter = Counter()
-    original = fpkit.genus.chi_symbolic
+def genus_calls(monkeypatch):
+    """Count chi_symbolic calls per component and chi_series calls per
+    (component, order), through every import of each."""
+    symbolic: Counter = Counter()
+    series: Counter = Counter()
+    original_symbolic = fpkit.genus.chi_symbolic
+    original_series = fpkit.genus.chi_series
 
-    def counted(data, i):
-        calls[i] += 1
-        return original(data, i)
+    def counted_symbolic(data, i):
+        symbolic[i] += 1
+        return original_symbolic(data, i)
+
+    def counted_series(data, i, order):
+        series[i, order] += 1
+        return original_series(data, i, order)
 
     for module in (fpkit.genus, fpkit.cli, fpkit.identities):
-        monkeypatch.setattr(module, "chi_symbolic", counted)
-    return calls
+        monkeypatch.setattr(module, "chi_symbolic", counted_symbolic)
+    for module in (fpkit.genus, fpkit.cli):
+        monkeypatch.setattr(module, "chi_series", counted_series)
+    return symbolic, series
 
 
 @pytest.mark.parametrize(
@@ -376,7 +422,7 @@ def symbolic_calls(monkeypatch):
     ids=["genus", "report", "validate-strict"],
 )
 @pytest.mark.parametrize("flipped", [False, True], ids=["s8", "s8-flipped"])
-def test_one_symbolic_pass_per_component(capsys, tmp_path, symbolic_calls, argv, flipped):
+def test_one_symbolic_pass_per_component(capsys, tmp_path, genus_calls, argv, flipped):
     path = S8
     if flipped:
         # equal signs on identical weights: no component is constant
@@ -386,8 +432,17 @@ def test_one_symbolic_pass_per_component(capsys, tmp_path, symbolic_calls, argv,
         path.write_text(json.dumps(doc))
     main(argv + [str(path)])
     capsys.readouterr()
+    symbolic_calls, series_calls = genus_calls
     assert symbolic_calls
     assert max(symbolic_calls.values()) == 1
+    if argv == ["genus"]:
+        # one series pass per component, at the default order
+        data = load_data(path)
+        order = default_series_order(data)
+        assert series_calls == Counter({(i, order): 1 for i in range(data.n + 1)})
+    else:
+        # report and validate --strict need only the symbolic verdict
+        assert not series_calls
 
 
 class TestParser:

@@ -19,9 +19,7 @@ from fpkit.data import (
     residue_signature,
     serialize_data,
 )
-from tests.conftest import FIXTURES, data_st, fixture_path, make_data
-
-ALL_FIXTURES = sorted(path.stem for path in FIXTURES.glob("*.json"))
+from tests.conftest import ALL_FIXTURES, data_st, fixture_path, make_data
 
 
 class TestFixedPointDatum:
@@ -190,6 +188,23 @@ class TestParsing:
                 ' {"id": "q", "sign": 1, "weights": [-1]}], '
                 '"isotropy_components": {"3": [["p", "q"], []]}}',
                 "empty block",
+            ),
+            (
+                '{"dimension": 2, "fixed_points": '
+                '[{"id": "p", "sign": 1, "weights": [1]},'
+                ' {"id": "q", "sign": 1, "weights": [-1]}], '
+                '"isotropy_components": {"1": [["p"], ["q"]], "01": [["p", "q"]]}}',
+                "keys '1' and '01' both name modulus 1",
+            ),
+            (
+                '{"dimension": 2, "fixed_points": [], '
+                '"isotropy_component": {"1": []}}',
+                "unknown key 'isotropy_component'",
+            ),
+            (
+                '{"dimension": 2, "fixed_points": '
+                '[{"id": "p", "sign": 1, "wieghts": [1]}]}',
+                "unknown key 'wieghts' at 'p'",
             ),
         ],
     )

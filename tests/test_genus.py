@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from fpkit.algebra import Polynomial, RationalFunction
+from fpkit.data import load_data
 from fpkit.genus import (
     GenusReport,
     chi_counting,
@@ -18,7 +20,7 @@ from fpkit.genus import (
     signed_index_counts,
     txy_evaluate,
 )
-from tests.conftest import data_st, make_data
+from tests.conftest import ALL_FIXTURES, data_st, fixture_path, make_data
 
 
 class TestSignedIndexCounts:
@@ -152,9 +154,12 @@ class TestCrossRoute:
     @given(data_st(max_points=3, max_half_dim=2))
     @settings(max_examples=30, deadline=None)
     def test_symbolic_constant_term_matches_series(self, data):
+        order = default_series_order(data)
         for i in range(data.n + 1):
             part = chi_symbolic(data, i)
-            assert part.constant_term == chi_series(data, i, 0).constant_term
+            series = chi_series(data, i, order)
+            assert part.constant_term == series.constant_term
+            assert series == part.function.series(order)
             if part.constant:
                 assert part.function.constant_value == part.constant_term
 
@@ -164,6 +169,61 @@ class TestCrossRoute:
         counts = signed_index_counts(data)
         reversed_counts = signed_index_counts(data.reversed())
         assert reversed_counts == counts[::-1]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_reduced(sympy, data, i):
+    """The localization sum built and cancelled by sympy, as (num, den, t)."""
+    t = sympy.Symbol("t")
+    total = sympy.Integer(0)
+    for point in data.points:
+        monomials = [t**w for w in point.weights]
+        sigma = sum(sympy.Mul(*c) for c in itertools.combinations(monomials, i))
+        total += point.sign * sigma / sympy.Mul(*(1 - m for m in monomials))
+    num, den = sympy.fraction(sympy.cancel(total))
+    return sympy.Poly(num, t), sympy.Poly(den, t), t
+
+
+def _fractions(sympy_poly, scale):
+    """Ascending coefficients of a sympy polynomial divided by ``scale``."""
+    return [
+        Fraction(int(c.p), int(c.q)) / scale
+        for c in reversed(sympy_poly.all_coeffs())
+    ]
+
+
+class TestSympyDifferential:
+    """sympy's cancel and series agree with the symbolic and series routes."""
+
+    def _check(self, sympy, data):
+        order = default_series_order(data)
+        for i in range(data.n + 1):
+            num, den, t = _sympy_reduced(sympy, data, i)
+            lead = den.LC()
+            lead = Fraction(int(lead.p), int(lead.q))
+            reduced = chi_symbolic(data, i).function
+            assert reduced.numerator == Polynomial(_fractions(num, lead))
+            assert reduced.denominator == Polynomial(_fractions(den, lead))
+            # num / den mod t^(order + 1), through sympy's inverse of den
+            modulus = sympy.Poly(t ** (order + 1), t)
+            expansion = (num * den.invert(modulus)).rem(modulus)
+            coefficients = _fractions(expansion, 1) + [Fraction(0)] * (order + 1)
+            assert chi_series(data, i, order).coefficients() == tuple(
+                coefficients[: order + 1]
+            )
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures(self, sympy, name):
+        self._check(sympy, load_data(fixture_path(name)))
+
+    @given(data_st(max_points=3, max_half_dim=2))
+    @settings(max_examples=30, deadline=None)
+    def test_random(self, sympy, data):
+        self._check(sympy, data)
 
 
 class TestSemifree:
