@@ -3,7 +3,7 @@
 The package models a finite fixed-point set where each point carries a sign
 and a multiset of nonzero integer weights.  On top of that data it provides:
 
-* exact polynomial / rational-function / truncated-series arithmetic
+* integer polynomial / rational-function / truncated-series arithmetic
   (:mod:`fpkit.algebra`),
 * the JSON data model and per-point statistics (:mod:`fpkit.data`),
 * the Hirzebruch-type genus computed two independent ways

@@ -1,48 +1,51 @@
-"""Exact univariate arithmetic: polynomials, rational functions, truncated series.
+"""Exact univariate arithmetic over the integers.
 
-All coefficients are arbitrary-precision rationals (`fractions.Fraction`); no
-floating point appears anywhere.  Three layers are provided:
+Every polynomial the genus computation builds has integer coefficients, so
+all three layers hold Python ints, and their constructors raise
+``TypeError`` on any other coefficient type:
 
-* `Polynomial` — immutable dense coefficient tuple over Q.  The zero
+* `Polynomial` — immutable dense coefficient tuple over Z.  The zero
   polynomial has degree ``float("-inf")``, so degree comparisons behave
   sensibly without special cases.
-* `RationalFunction` — a quotient of polynomials kept in reduced canonical
-  form (coprime numerator and denominator, monic denominator), which makes
-  equality a plain structural comparison.
+* `RationalFunction` — a quotient of integer polynomials kept in reduced
+  canonical form (coprime numerator and denominator, joint content 1,
+  positive leading denominator coefficient), which makes equality a plain
+  structural comparison.
 * `TruncatedSeries` — power-series coefficients through a fixed order K.
-  Binary operations require both operands to carry the same K and never
-  silently change it.
+
+Reduction runs on integers throughout: `poly_gcd` is a primitive
+pseudo-remainder loop, and dividing by a primitive gcd stays in Z by Gauss's
+lemma, so `_exact_div` raises instead of ever leaving the integers.
 
 `geometric_rewrite` expands 1/(1 - t^w) as a truncated series for positive or
 negative integer w.  A negative w is first rewritten through
 
     1/(1 - t^w)  =  -t^|w| / (1 - t^|w|)  =  -t^|w| * (1 + t^|w| + t^2|w| + ...)
 
-so that only nonnegative exponents ever appear.
+so that only nonnegative exponents ever appear.  No fpkit module calls it or
+multiplies series; both stay because the tests use them and the benchmark's
+tracer (``perfbench/tracing.py``) wraps them by name.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable
 
 #: Degree of the zero polynomial.
 NEG_INF = float("-inf")
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+def _integers(coefficients: Iterable[int]) -> list[int]:
+    coeffs = list(coefficients)
+    for c in coeffs:
+        if type(c) is not int:
+            raise TypeError(f"expected an integer coefficient, got {type(c).__name__}")
+    return coeffs
 
 
 class Polynomial:
-    """A univariate polynomial with exact rational coefficients.
+    """A univariate polynomial with integer coefficients.
 
     Coefficients are stored densely in ascending order with trailing zeros
     trimmed, so two equal polynomials always have identical tuples.
@@ -50,13 +53,11 @@ class Polynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [_as_fraction(c) for c in coefficients]
+    def __init__(self, coefficients: Iterable[int] = ()):
+        coeffs = _integers(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
-
-    # -- constructors ------------------------------------------------------
+        self._coeffs: tuple[int, ...] = tuple(coeffs)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -65,26 +66,6 @@ class Polynomial:
     @classmethod
     def one(cls) -> "Polynomial":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
-        """c * t^degree (degree must be >= 0)."""
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls([0] * degree + [coefficient])
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[int, Scalar]) -> "Polynomial":
-        """Build from a degree -> coefficient mapping (finite support)."""
-        if not terms:
-            return cls.zero()
-        top = max(terms)
-        if min(terms) < 0:
-            raise ValueError("polynomial terms need nonnegative degrees")
-        coeffs = [Fraction(0)] * (top + 1)
-        for degree, coefficient in terms.items():
-            coeffs[degree] += _as_fraction(coefficient)
-        return cls(coeffs)
 
     # -- inspection --------------------------------------------------------
 
@@ -98,25 +79,19 @@ class Polynomial:
         return not self._coeffs
 
     @property
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int:
         if not self._coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self._coeffs[-1]
 
     @property
-    def constant_term(self) -> Fraction:
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+    def constant_term(self) -> int:
+        return self._coeffs[0] if self._coeffs else 0
 
-    def coefficient(self, degree: int) -> Fraction:
+    def coefficient(self, degree: int) -> int:
         if 0 <= degree < len(self._coeffs):
             return self._coeffs[degree]
-        return Fraction(0)
-
-    def terms(self) -> Iterator[tuple[int, Fraction]]:
-        """Nonzero (degree, coefficient) pairs, ascending."""
-        for degree, coefficient in enumerate(self._coeffs):
-            if coefficient != 0:
-                yield degree, coefficient
+        return 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -131,22 +106,12 @@ class Polynomial:
             out[i] += c
         return Polynomial(out)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
-
-    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             if a == 0:
                 continue
@@ -154,78 +119,6 @@ class Polynomial:
                 if b != 0:
                     out[i + j] += a * b
         return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def scaled(self, scalar: Scalar) -> "Polynomial":
-        s = _as_fraction(scalar)
-        if s == 0:
-            return Polynomial.zero()
-        return Polynomial(c * s for c in self._coeffs)
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __divmod__(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division over Q: returns (quotient, remainder)."""
-        if not isinstance(divisor, Polynomial):
-            return NotImplemented
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        remainder = list(self._coeffs)
-        dcoeffs = divisor._coeffs
-        dd = len(dcoeffs) - 1
-        lead = dcoeffs[-1]
-        if len(remainder) - 1 < dd:
-            return Polynomial.zero(), self
-        quotient = [Fraction(0)] * (len(remainder) - dd)
-        for top in range(len(remainder) - 1, dd - 1, -1):
-            coefficient = remainder[top]
-            if coefficient == 0:
-                continue
-            q = coefficient / lead
-            quotient[top - dd] = q
-            for i, c in enumerate(dcoeffs):
-                remainder[top - dd + i] -= q * c
-        return Polynomial(quotient), Polynomial(remainder)
-
-    def __floordiv__(self, divisor: "Polynomial") -> "Polynomial":
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor: "Polynomial") -> "Polynomial":
-        return divmod(self, divisor)[1]
-
-    def shifted(self, offset: int) -> "Polynomial":
-        """Multiply by t^offset (offset >= 0)."""
-        if offset < 0:
-            raise ValueError("cannot shift a polynomial by a negative power")
-        if self.is_zero:
-            return self
-        return Polynomial([Fraction(0)] * offset + list(self._coeffs))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("zero polynomial cannot be made monic")
-        lead = self._coeffs[-1]
-        if lead == 1:
-            return self
-        return Polynomial(c / lead for c in self._coeffs)
-
-    def __call__(self, value: Scalar) -> Fraction:
-        """Evaluate by Horner's rule."""
-        x = _as_fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
-    def to_series(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries([self.coefficient(k) for k in range(order + 1)])
 
     # -- comparison / display ---------------------------------------------
 
@@ -244,7 +137,9 @@ class Polynomial:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for degree, coefficient in self.terms():
+        for degree, coefficient in enumerate(self._coeffs):
+            if coefficient == 0:
+                continue
             if degree == 0:
                 body = str(coefficient)
             else:
@@ -264,7 +159,7 @@ def one_minus_power(exponent: int) -> Polynomial:
     """The polynomial 1 - t^exponent (exponent >= 1)."""
     if exponent < 1:
         raise ValueError("exponent must be positive")
-    return Polynomial.from_terms({0: 1, exponent: -1})
+    return Polynomial([1] + [0] * (exponent - 1) + [-1])
 
 
 # -- greatest common divisor ----------------------------------------------
@@ -275,24 +170,13 @@ def one_minus_power(exponent: int) -> Polynomial:
 # such as prod(1 - t^|w|) are repeatedly combined and reduced.
 
 
-def _integer_coeffs(p: Polynomial) -> list[int]:
-    """Scale a nonzero polynomial to a primitive integer coefficient list."""
-    scale = math.lcm(*(c.denominator for c in p._coeffs))
-    ints = [int(c * scale) for c in p._coeffs]
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
-
-
-def _trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _primitive(coeffs: list[int]) -> list[int]:
+    """Divide out the content, leaving a positive leading coefficient."""
     if not coeffs:
         return coeffs
     content = math.gcd(*coeffs)
+    if coeffs[-1] < 0:
+        content = -content
     return [c // content for c in coeffs]
 
 
@@ -308,40 +192,52 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         offset = dr - db
         for i, c in enumerate(b):
             remainder[offset + i] -= lead_r * c
-        _trim(remainder)
+        while remainder and remainder[-1] == 0:
+            remainder.pop()
     return remainder
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor of two polynomials (not both zero)."""
+    """Primitive gcd with positive leading coefficient (a, b not both zero)."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    u = _integer_coeffs(a)
-    v = _integer_coeffs(b)
+    u = _primitive(list(a._coeffs))
+    v = _primitive(list(b._coeffs))
     if len(u) < len(v):
         u, v = v, u
     while v:
         u, v = v, _primitive(_pseudo_remainder(u, v))
-    lead = u[-1]
-    return Polynomial(Fraction(c, lead) for c in u)
+    return Polynomial(u)
 
 
 def _exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
-    quotient, remainder = divmod(p, divisor)
-    if not remainder.is_zero:
-        raise ArithmeticError("expected an exact polynomial division")
-    return quotient
+    """The quotient p / divisor over Z; ``ArithmeticError`` if it is inexact."""
+    remainder = list(p._coeffs)
+    dcoeffs = divisor._coeffs
+    dd = len(dcoeffs) - 1
+    lead = dcoeffs[-1]
+    quotient = [0] * max(len(remainder) - dd, 0)
+    for top in range(len(remainder) - 1, dd - 1, -1):
+        coefficient = remainder[top]
+        if coefficient == 0:
+            continue
+        q, r = divmod(coefficient, lead)
+        if r:
+            raise ArithmeticError("expected an exact polynomial division over Z")
+        quotient[top - dd] = q
+        for i, c in enumerate(dcoeffs):
+            remainder[top - dd + i] -= q * c
+    if any(remainder[:dd]):
+        raise ArithmeticError("expected an exact polynomial division over Z")
+    return Polynomial(quotient)
 
 
 class RationalFunction:
-    """A quotient of polynomials in reduced form.
+    """A quotient of integer polynomials in reduced form.
 
-    Canonical form: numerator and denominator are coprime and the denominator
-    is monic (the zero function is 0/1).  All constructors and operations
+    Canonical form: numerator and denominator are coprime, their coefficients
+    have no common factor, and the denominator's leading coefficient is
+    positive (the zero function is 0/1).  All constructors and operations
     maintain this, so ``==`` compares structurally.  Addition uses Henrici's
     reduced algorithm: with b, d the operand denominators and g = gcd(b, d),
     only gcds of size ~deg(g) are ever taken instead of re-reducing the full
@@ -350,53 +246,42 @@ class RationalFunction:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, numerator, denominator=None):
-        num = self._coerce(numerator)
-        den = Polynomial.one() if denominator is None else self._coerce(denominator)
-        if den.is_zero:
+    def __init__(self, numerator: Polynomial, denominator: "Polynomial | None" = None):
+        if denominator is None:
+            denominator = Polynomial.one()
+        if not isinstance(numerator, Polynomial) or not isinstance(denominator, Polynomial):
+            raise TypeError("a rational function is a quotient of two Polynomials")
+        if denominator.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self._num, self._den = Polynomial.zero(), Polynomial.one()
-            return
-        g = poly_gcd(num, den)
+        g = poly_gcd(numerator, denominator)
         if g.degree > 0:
-            num = _exact_div(num, g)
-            den = _exact_div(den, g)
-        lead = den.leading_coefficient
-        if lead != 1:
-            num = num.scaled(1 / lead)
-            den = den.monic()
-        self._num, self._den = num, den
+            numerator = _exact_div(numerator, g)
+            denominator = _exact_div(denominator, g)
+        self._set(numerator, denominator)
 
-    @staticmethod
-    def _coerce(value) -> Polynomial:
-        if isinstance(value, Polynomial):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Polynomial((value,))
-        raise TypeError(f"cannot build a rational function from {type(value).__name__}")
+    def _set(self, num: Polynomial, den: Polynomial) -> None:
+        """Store a coprime pair after taking out the joint content and sign."""
+        if num.is_zero:
+            self._num, self._den = num, Polynomial.one()
+            return
+        content = math.gcd(*num._coeffs, *den._coeffs)
+        if den._coeffs[-1] < 0:
+            content = -content
+        if content != 1:
+            num = Polynomial(c // content for c in num._coeffs)
+            den = Polynomial(c // content for c in den._coeffs)
+        self._num, self._den = num, den
 
     @classmethod
     def _from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """Fast path for results already known to be reduced."""
         self = object.__new__(cls)
-        if num.is_zero:
-            self._num, self._den = Polynomial.zero(), Polynomial.one()
-            return self
-        lead = den.leading_coefficient
-        if lead != 1:
-            num = num.scaled(1 / lead)
-            den = den.monic()
-        self._num, self._den = num, den
+        self._set(num, den)
         return self
 
     @classmethod
     def zero(cls) -> "RationalFunction":
         return cls(Polynomial.zero())
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(Polynomial.one())
 
     # -- inspection --------------------------------------------------------
 
@@ -422,9 +307,12 @@ class RationalFunction:
         return self._den.degree == 0 and self._num.degree <= 0
 
     @property
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
+        """The value of a constant function with an integer value."""
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
+        if self._den.constant_term != 1:
+            raise ValueError(f"{self} is not an integer")
         return self._num.constant_term
 
     # -- arithmetic --------------------------------------------------------
@@ -441,68 +329,39 @@ class RationalFunction:
         g = poly_gcd(b, d)
         if g.degree == 0:
             return RationalFunction._from_coprime(a * d + c * b, b * d)
-        reduced_d = _exact_div(d, g)
-        candidate = a * reduced_d + c * _exact_div(b, g)
+        reduced_b = _exact_div(b, g)
+        candidate = a * _exact_div(d, g) + c * reduced_b
         if candidate.is_zero:
             return RationalFunction.zero()
         h = poly_gcd(candidate, g)
         if h.degree > 0:
             candidate = _exact_div(candidate, h)
-            d_part = _exact_div(d, h)
-        else:
-            d_part = d
-        return RationalFunction._from_coprime(candidate, _exact_div(b, g) * d_part)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction._from_coprime(-self._num, self._den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RationalFunction.zero()
-        g1 = poly_gcd(self._num, other._den)
-        g2 = poly_gcd(other._num, self._den)
-        num = _exact_div(self._num, g1) * _exact_div(other._num, g2)
-        den = _exact_div(self._den, g2) * _exact_div(other._den, g1)
-        return RationalFunction._from_coprime(num, den)
-
-    def reciprocal(self) -> "RationalFunction":
-        if self.is_zero:
-            raise ZeroDivisionError("reciprocal of the zero rational function")
-        return RationalFunction._from_coprime(self._den, self._num)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self * other.reciprocal()
+            d = _exact_div(d, h)
+        return RationalFunction._from_coprime(candidate, reduced_b * d)
 
     # -- expansion ---------------------------------------------------------
 
     def series(self, order: int) -> "TruncatedSeries":
         """Power-series expansion at t = 0 through the given order.
 
-        Requires the (reduced) denominator to be invertible at 0, i.e. a
-        nonzero constant term.
+        Requires the reduced denominator's constant term to be +1 or -1, so
+        that every coefficient of the expansion is an integer.
         """
         if order < 0:
             raise ValueError("series order must be nonnegative")
         d0 = self._den.constant_term
         if d0 == 0:
             raise ValueError("rational function has a pole at t = 0")
-        coeffs: list[Fraction] = []
+        if d0 not in (1, -1):
+            raise ValueError("series needs a denominator with constant term +-1")
+        coeffs: list[int] = []
         for k in range(order + 1):
             acc = self._num.coefficient(k)
             for j in range(1, k + 1):
                 dj = self._den.coefficient(j)
                 if dj != 0:
                     acc -= dj * coeffs[k - j]
-            coeffs.append(acc / d0)
+            coeffs.append(acc * d0)
         return TruncatedSeries(coeffs)
 
     # -- comparison / display ---------------------------------------------
@@ -533,86 +392,44 @@ def ratfun_sum(terms: Iterable[RationalFunction]) -> RationalFunction:
 
 
 class TruncatedSeries:
-    """Power-series coefficients c_0 .. c_K for a fixed truncation order K.
+    """Integer power-series coefficients c_0 .. c_K for a fixed order K.
 
-    Orders are part of the value: combining two series of different orders
+    Orders are part of the value: multiplying two series of different orders
     raises instead of guessing which truncation was meant.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coefficients: Iterable[Scalar]):
-        coeffs = tuple(_as_fraction(c) for c in coefficients)
+    def __init__(self, coefficients: Iterable[int]):
+        coeffs = tuple(_integers(coefficients))
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         self._coeffs = coeffs
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(0)] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, order: int) -> "TruncatedSeries":
-        return p.to_series(order)
-
-    # -- inspection --------------------------------------------------------
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
 
     @property
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> int:
         return self._coeffs[0]
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int:
         if not 0 <= k <= self.order:
             raise IndexError(f"series is only known through order {self.order}")
         return self._coeffs[k]
 
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[int, ...]:
         return self._coeffs
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self._coeffs[: order + 1])
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         if self.order != other.order:
             raise ValueError(
                 f"truncation orders differ ({self.order} vs {other.order})"
             )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(a + b for a, b in zip(self._coeffs, other._coeffs))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(a - b for a, b in zip(self._coeffs, other._coeffs))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-c for c in self._coeffs)
-
-    def __mul__(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            s = _as_fraction(other)
-            return TruncatedSeries(c * s for c in self._coeffs)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        out = [Fraction(0)] * (self.order + 1)
+        out = [0] * (self.order + 1)
         for i, a in enumerate(self._coeffs):
             if a == 0:
                 continue
@@ -621,10 +438,6 @@ class TruncatedSeries:
                 if b != 0:
                     out[i + j] += a * b
         return TruncatedSeries(out)
-
-    __rmul__ = __mul__
-
-    # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncatedSeries):
@@ -635,8 +448,7 @@ class TruncatedSeries:
         return hash(("TruncatedSeries", self._coeffs))
 
     def __repr__(self) -> str:
-        body = str(Polynomial(self._coeffs)) if any(self._coeffs) else "0"
-        return f"TruncatedSeries({body} + O(t^{self.order + 1}))"
+        return f"TruncatedSeries({Polynomial(self._coeffs)} + O(t^{self.order + 1}))"
 
 
 def geometric_rewrite(w: int, order: int) -> TruncatedSeries:
@@ -651,11 +463,11 @@ def geometric_rewrite(w: int, order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError("series order must be nonnegative")
     period = abs(w)
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     if w > 0:
         for k in range(0, order + 1, period):
-            coeffs[k] = Fraction(1)
+            coeffs[k] = 1
     else:
         for k in range(period, order + 1, period):
-            coeffs[k] = Fraction(-1)
+            coeffs[k] = -1
     return TruncatedSeries(coeffs)

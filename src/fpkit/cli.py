@@ -13,16 +13,12 @@ classification survey.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from fpkit.classify import SearchBounds, random_graph_data, survey
-from fpkit.data import (
-    DataFormatError,
-    FixedPointData,
-    load_data,
-    serialize_data,
-)
+from fpkit.data import FixedPointData, load_data, serialize_data
 from fpkit.genus import (
     chi_series,
     chi_symbolic,
@@ -411,6 +407,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+#: `main`'s parser, built on the first call and reused, since building it
+#: costs about as much as a small command.
+_parser = functools.cache(build_parser)
+
 _COMMANDS = {
     "validate": cmd_validate,
     "genus": cmd_genus,
@@ -424,21 +424,14 @@ _COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
         return handler(args)
     except BalanceError as exc:  # unbuildable data surfacing outside graph cmds
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # unreadable files, malformed data
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

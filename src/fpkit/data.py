@@ -158,15 +158,25 @@ def _reject_unknown_keys(entry: dict, known: tuple[str, ...], where: str) -> Non
             raise DataFormatError(f"unknown key {key!r}{where}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` object hook: a key repeated in one object is an error."""
+    entry: dict = {}
+    for key, value in pairs:
+        if key in entry:
+            raise DataFormatError(f"repeated key {key!r}")
+        entry[key] = value
+    return entry
+
+
 def parse_data(text: "str | bytes") -> FixedPointData:
     """Parse a JSON document into a :class:`FixedPointData`.
 
-    Raises :class:`DataFormatError` for structural problems (unknown keys,
-    non-even dimension, zero weights, duplicate ids, weight-count mismatches,
-    malformed partitions, two keys naming one modulus) and
-    ``json.JSONDecodeError`` for unparseable text.
+    Raises :class:`DataFormatError` for structural problems (unknown or
+    repeated keys, non-even dimension, zero weights, duplicate ids,
+    weight-count mismatches, malformed partitions, modulus keys not in plain
+    decimal form) and ``json.JSONDecodeError`` for unparseable text.
     """
-    raw = json.loads(text)
+    raw = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise DataFormatError("top-level JSON value must be an object")
     _reject_unknown_keys(
@@ -206,17 +216,21 @@ def parse_data(text: "str | bytes") -> FixedPointData:
         points.append(FixedPointDatum(pid, sign, tuple(weights)))
 
     components: dict[int, Partition] = {}
-    keys: dict[int, str] = {}
     raw_components = raw.get("isotropy_components", {})
     if not isinstance(raw_components, dict):
         raise DataFormatError("isotropy_components must be an object")
     for key, blocks in raw_components.items():
         try:
             modulus = int(key)
-        except (TypeError, ValueError):
+        except ValueError:
             raise DataFormatError(
                 f"malformed partition: modulus key {key!r} is not an integer"
             ) from None
+        if key != str(modulus):
+            raise DataFormatError(
+                f"malformed partition: modulus key {key!r} is not in plain "
+                "decimal form"
+            )
         if not isinstance(blocks, list) or not all(
             isinstance(block, list) and all(isinstance(pid, str) for pid in block)
             for block in blocks
@@ -225,12 +239,6 @@ def parse_data(text: "str | bytes") -> FixedPointData:
                 f"malformed partition for modulus {modulus}: expected a list "
                 "of lists of ids"
             )
-        if modulus in keys:
-            raise DataFormatError(
-                f"malformed partition: keys {keys[modulus]!r} and {key!r} both "
-                f"name modulus {modulus}"
-            )
-        keys[modulus] = key
         components[modulus] = tuple(tuple(block) for block in blocks)
 
     return FixedPointData(name, n, tuple(points), components)

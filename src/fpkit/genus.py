@@ -21,13 +21,17 @@ Three computations are kept independent so they can certify each other:
   and reads the constant term off the reduced function;
 * the series route (`chi_series`) expands every term as an integer power
   series and never forms the reduced function.
+
+Both non-counting routes run on Python ints: every J_p and every factor
+1 - t^|w| has integer coefficients, and the reduced denominator is a
+primitive divisor of +-prod (1 - t^|w|) in Z[t], hence monic with constant
+term +-1, so the symbolic constant term is an integer too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from fpkit.algebra import (
     Polynomial,
@@ -89,13 +93,13 @@ class SymbolicChi:
     """One genus component from the symbolic route.
 
     ``function`` is the reduced rational function; ``constant`` says whether
-    it reduced to a constant; ``constant_term`` is the function's value at
-    t = 0, which is defined even when the function is not constant.
+    it reduced to a constant; ``constant_term`` is the function's (integer)
+    value at t = 0, which is defined even when the function is not constant.
     """
 
     function: RationalFunction
     constant: bool
-    constant_term: Fraction
+    constant_term: int
 
 
 def _numerator(point: FixedPointDatum, i: int) -> list[int]:
@@ -134,8 +138,9 @@ def chi_symbolic(data: FixedPointData, i: int) -> SymbolicChi:
             denominator = denominator * one_minus_power(abs(w))
         terms.append(RationalFunction(Polynomial(_numerator(point, i)), denominator))
     total = ratfun_sum(terms)
-    # The reduced denominator divides +-prod (1 - t^|w|), so its value at 0 is +-1.
-    constant_term = total.numerator.constant_term / total.denominator.constant_term
+    # The reduced denominator is a primitive divisor of +-prod (1 - t^|w|) in
+    # Z[t], so its value at 0 is +-1 and the division is exact.
+    constant_term = total.numerator.constant_term // total.denominator.constant_term
     return SymbolicChi(total, total.is_constant, constant_term)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -89,11 +88,9 @@ def semifree():
 
 # -- hypothesis strategies ---------------------------------------------------
 
-fractions_st = st.fractions(
-    min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
-)
+coefficients_st = st.integers(min_value=-8, max_value=8)
 
-polynomials_st = st.lists(fractions_st, min_size=0, max_size=5).map(Polynomial)
+polynomials_st = st.lists(coefficients_st, min_size=0, max_size=5).map(Polynomial)
 
 nonzero_polynomials_st = polynomials_st.filter(lambda p: not p.is_zero)
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fpkit.cli
 import fpkit.genus
@@ -98,6 +103,13 @@ class TestValidate:
         assert out == ""
         assert "error:" in err
 
+    def test_path_through_a_file(self, capsys):
+        # NotADirectoryError, like every OSError, is an exit-2 input error
+        code, out, err = run(capsys, "validate", S8 + "/x")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -134,7 +146,13 @@ class TestValidate:
                 '[{"id": "p", "sign": 1, "weights": [1]},'
                 ' {"id": "q", "sign": 1, "weights": [-1]}], '
                 '"isotropy_components": {"1": [["p"], ["q"]], "01": [["p", "q"]]}}',
-                "keys '1' and '01' both name modulus 1",
+                "modulus key '01' is not in plain decimal form",
+            ),
+            (
+                '{"dimension": 2, "dimension": 4, "fixed_points": '
+                '[{"id": "p", "sign": 1, "weights": [1]},'
+                ' {"id": "q", "sign": 1, "weights": [-1]}]}',
+                "repeated key 'dimension'",
             ),
             (
                 '{"dimension": 2, "fixed_points": '
@@ -150,7 +168,12 @@ class TestValidate:
                 "unknown key 'wieghts' at 'p'",
             ),
         ],
-        ids=["duplicate-modulus", "unknown-top-level-key", "unknown-point-key"],
+        ids=[
+            "duplicate-modulus",
+            "repeated-key",
+            "unknown-top-level-key",
+            "unknown-point-key",
+        ],
     )
     def test_rejected_document(self, capsys, tmp_path, document, message):
         path = tmp_path / "rejected.json"
@@ -214,6 +237,14 @@ class TestGraph:
         code, _, _ = run(capsys, "graph", S2, "--dot", str(target))
         assert code == 0
         assert target.read_text() == (GOLDEN / "s2_a3.dot").read_text()
+
+    def test_dot_path_through_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(capsys, "graph", S8, "--dot", str(blocker / "out.dot"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unbuildable_exits_one(self, capsys, unbuildable_file):
         code, payload, _ = run_json(capsys, "graph", unbuildable_file)
@@ -458,6 +489,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["validate", S2, "--format", "xml"])
 
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "fpkit":
+                built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        main(["validate", S2])
+        main(["genus", S2])
+        capsys.readouterr()
+        assert len(built) <= 1
+
 
 class TestChiYFormatter:
     @pytest.mark.parametrize(
@@ -473,3 +519,68 @@ class TestChiYFormatter:
     )
     def test_rendering(self, chi, expected):
         assert _format_chi_y(chi) == expected
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+_ids_st = st.sampled_from(["p", "q", "r", "s", "", 3])
+_weights_st = st.lists(st.integers(-6, 6), min_size=0, max_size=4)
+
+
+@st.composite
+def _documents_st(draw):
+    """Bounded JSON-like data documents, mostly well-formed, some truncated."""
+    doc: dict = {}
+    if draw(st.booleans()):
+        doc["name"] = draw(st.sampled_from(["fuzz", 7]))
+    doc["dimension"] = draw(st.sampled_from([2, 4, 6, 2, 4, 6, 3, 0, -2, "4", True]))
+    points = []
+    for _ in range(draw(st.integers(0, 4))):
+        point = {
+            "id": draw(_ids_st),
+            "sign": draw(st.sampled_from([1, -1, 1, -1, 0, True])),
+            "weights": draw(_weights_st),
+        }
+        if draw(st.integers(0, 9)) == 0:
+            point[draw(st.sampled_from(["wieghts", "id", "sign"]))] = 1
+        points.append(point)
+    doc["fixed_points"] = points
+    if draw(st.booleans()):
+        ids = [point["id"] for point in points]
+        doc["isotropy_components"] = {
+            draw(st.sampled_from(["1", "2", "3", "01", " 3", "x", "0"])): draw(
+                st.sampled_from([[ids], [ids[:1], ids[1:]], [], [[]], 5])
+            )
+            for _ in range(draw(st.integers(1, 2)))
+        }
+    text = json.dumps(doc)
+    if draw(st.integers(0, 4)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+_FUZZ_COMMANDS = [
+    ["validate", "--strict"],
+    ["genus"],
+    ["report"],
+    ["graph"],
+    ["subgraph", "--modulus", "2"],
+    ["abbv", "--power", "1"],
+]
+
+
+@given(text=_documents_st())
+@settings(max_examples=60, deadline=None)
+def test_main_fuzz(tmp_path_factory, text):
+    """No exception escapes main, and exit 2 means exactly one stderr line."""
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(text)
+    for command in _FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + [str(path)])
+        assert code in (0, 1, 2), command
+        if code == 2:
+            assert out.getvalue() == "", command
+            assert err.getvalue().startswith("error:"), command
+            assert err.getvalue().count("\n") == 1, command

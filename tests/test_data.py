@@ -194,7 +194,32 @@ class TestParsing:
                 '[{"id": "p", "sign": 1, "weights": [1]},'
                 ' {"id": "q", "sign": 1, "weights": [-1]}], '
                 '"isotropy_components": {"1": [["p"], ["q"]], "01": [["p", "q"]]}}',
-                "keys '1' and '01' both name modulus 1",
+                "modulus key '01' is not in plain decimal form",
+            ),
+            (
+                '{"dimension": 2, "fixed_points": [], '
+                '"isotropy_components": {"1_0": []}}',
+                "modulus key '1_0' is not in plain decimal form",
+            ),
+            (
+                '{"dimension": 2, "fixed_points": [], '
+                '"isotropy_components": {" 3": []}}',
+                "modulus key ' 3' is not in plain decimal form",
+            ),
+            (
+                '{"dimension": 2, "fixed_points": [], '
+                '"isotropy_components": {"+3": []}}',
+                "modulus key '\\+3' is not in plain decimal form",
+            ),
+            (
+                '{"dimension": 2, "dimension": 4, "fixed_points": '
+                '[{"id": "p", "sign": 1, "weights": [1, 2]}]}',
+                "repeated key 'dimension'",
+            ),
+            (
+                '{"dimension": 2, "fixed_points": '
+                '[{"id": "p", "sign": 1, "weights": [1], "weights": [2]}]}',
+                "repeated key 'weights'",
             ),
             (
                 '{"dimension": 2, "fixed_points": [], '

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -90,7 +90,7 @@ class TestSymbolicRoute:
     def test_two_sphere_components(self, s2_a3):
         top = chi_symbolic(s2_a3, 0)
         assert top.constant
-        assert top.function == RationalFunction.one()
+        assert top.function == RationalFunction(Polynomial.one())
         assert top.constant_term == 1
         other = chi_symbolic(s2_a3, 1)
         assert other.constant
@@ -163,6 +163,19 @@ class TestCrossRoute:
             if part.constant:
                 assert part.function.constant_value == part.constant_term
 
+    @given(data_st())
+    @settings(max_examples=50, deadline=None)
+    def test_reduced_denominator_is_monic(self, data):
+        # The reduced denominator is a primitive divisor of +-prod (1 - t^|w|)
+        # in Z[t], so its leading coefficient is 1 and its constant term +-1:
+        # the integer canonical form is the monic one, and the constant term
+        # is an integer.
+        for i in range(data.n + 1):
+            part = chi_symbolic(data, i)
+            assert part.function.denominator.leading_coefficient == 1
+            assert part.function.denominator.constant_term in (1, -1)
+            assert type(part.constant_term) is int
+
     @given(data_st(max_points=3, max_half_dim=2))
     @settings(max_examples=30, deadline=None)
     def test_reversal_flips_index_counts(self, data):
@@ -188,12 +201,19 @@ def _sympy_reduced(sympy, data, i):
     return sympy.Poly(num, t), sympy.Poly(den, t), t
 
 
-def _fractions(sympy_poly, scale):
-    """Ascending coefficients of a sympy polynomial divided by ``scale``."""
-    return [
-        Fraction(int(c.p), int(c.q)) / scale
-        for c in reversed(sympy_poly.all_coeffs())
-    ]
+def _integer_pair(num, den):
+    """Ascending integer coefficients of num/den in fpkit's canonical form.
+
+    Denominators are cleared, the joint content taken out, and the sign
+    chosen so that the denominator's leading coefficient is positive.
+    """
+    coeffs = [list(reversed(p.all_coeffs())) for p in (num, den)]
+    scale = math.lcm(*(int(c.q) for part in coeffs for c in part))
+    ints = [[int(c.p) * (scale // int(c.q)) for c in part] for part in coeffs]
+    content = math.gcd(*ints[0], *ints[1])
+    if ints[1][-1] < 0:
+        content = -content
+    return tuple(tuple(c // content for c in part) for part in ints)
 
 
 class TestSympyDifferential:
@@ -203,15 +223,16 @@ class TestSympyDifferential:
         order = default_series_order(data)
         for i in range(data.n + 1):
             num, den, t = _sympy_reduced(sympy, data, i)
-            lead = den.LC()
-            lead = Fraction(int(lead.p), int(lead.q))
+            numerator, denominator = _integer_pair(num, den)
             reduced = chi_symbolic(data, i).function
-            assert reduced.numerator == Polynomial(_fractions(num, lead))
-            assert reduced.denominator == Polynomial(_fractions(den, lead))
+            assert reduced.numerator == Polynomial(numerator)
+            assert reduced.denominator == Polynomial(denominator)
             # num / den mod t^(order + 1), through sympy's inverse of den
             modulus = sympy.Poly(t ** (order + 1), t)
             expansion = (num * den.invert(modulus)).rem(modulus)
-            coefficients = _fractions(expansion, 1) + [Fraction(0)] * (order + 1)
+            coefficients = list(reversed(expansion.all_coeffs()))
+            assert all(c.is_integer for c in coefficients)
+            coefficients = [int(c) for c in coefficients] + [0] * (order + 1)
             assert chi_series(data, i, order).coefficients() == tuple(
                 coefficients[: order + 1]
             )
