@@ -11,7 +11,7 @@ and a multiset of nonzero integer weights.  On top of that data it provides:
 * necessary-condition checkers for realizability (:mod:`fpkit.identities`),
 * signed labeled multigraphs encoding the weight data
   (:mod:`fpkit.multigraph`),
-* a small-scale brute-force classifier (:mod:`fpkit.classify`),
+* a bounded survey and classifier of small data sets (:mod:`fpkit.classify`),
 * a command-line interface (:mod:`fpkit.cli`).
 """
 

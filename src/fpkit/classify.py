@@ -1,6 +1,6 @@
-"""Brute-force survey of small fixed-point data sets, and random graph data.
+"""Bounded survey of small fixed-point data sets, and random graph data.
 
-`survey` walks every data set within given bounds (k points, half-dimension
+`survey` covers every data set within given bounds (k points, half-dimension
 n, weight magnitudes up to W) in a deterministic order, tallies which checker
 rejects each candidate and classifies the two-point survivors against the
 three realizable shapes:
@@ -14,6 +14,11 @@ Two-point survivors that fit none of the shapes are flagged; within the
 exercised bounds the flagged list is expected to stay empty, and its being
 emitted (and stable run-to-run) is part of the survey's contract.
 
+The weight-balance check is linear in the points, so the survey never lists
+the unbalanced candidates: it joins (k-1)-point prefixes against an index of
+point specs by balance vector, and counts the rest as ``weight_balance``
+rejections.
+
 `random_graph_data` produces seed-deterministic pseudo-random data as read
 off a random n-regular signed multigraph, for property tests and the
 round-trip check of the graph builder.
@@ -21,9 +26,12 @@ round-trip check of the graph builder.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from fpkit.data import FixedPointData, FixedPointDatum
 from fpkit.identities import evaluate_filters
@@ -42,6 +50,12 @@ FILTER_NAMES = (
 )
 
 FLAG_TEXT = "outside the two-fixed-point classification"
+
+#: Largest number of (k-1)-point prefixes, or of point specs, a survey may
+#: walk: bounds beyond it are refused before any enumeration.  A survey walks
+#: C(|U|+k-2, k-1) prefixes, where U is the set of point specs, at a few
+#: microseconds each.
+MAX_SURVEY_PREFIXES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -106,6 +120,50 @@ def _point_universe(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
     return [(sign, weights) for sign in (-1, 1) for weights in multisets]
 
 
+def _balance_vector(
+    sign: int, weights: tuple[int, ...], max_weight: int
+) -> tuple[int, ...]:
+    """v[m - 1] = sign * (#m - #(-m)) for m = 1..W.
+
+    A multiset of points passes ``weight_balance`` exactly when its vectors
+    sum to zero.
+    """
+    vector = [0] * max_weight
+    for w in weights:
+        if w > 0:
+            vector[w - 1] += sign
+        else:
+            vector[-w - 1] -= sign
+    return tuple(vector)
+
+
+def _balanced_combinations(
+    universe: list[tuple[int, tuple[int, ...]]], points: int, max_weight: int
+) -> Iterator[tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The balanced `points`-multisets of `universe`, as spec tuples.
+
+    They come in the order of ``combinations_with_replacement(universe,
+    points)``: the (k-1)-point prefixes of positions are walked in that
+    order, and each is completed by the positions, not below its last one,
+    whose vector cancels the prefix sum.
+    """
+    vectors = [_balance_vector(sign, weights, max_weight) for sign, weights in universe]
+    positions: dict[tuple[int, ...], list[int]] = {}
+    for index, vector in enumerate(vectors):
+        positions.setdefault(vector, []).append(index)
+    # zipping with `zero` keeps W columns when the prefix is empty (k = 1)
+    zero = (0,) * max_weight
+    prefixes = itertools.combinations_with_replacement(range(len(universe)), points - 1)
+    for prefix in prefixes:
+        summed = zip(zero, *(vectors[i] for i in prefix))
+        wanted = tuple(-sum(column) for column in summed)
+        matches = positions.get(wanted, ())
+        start = bisect.bisect_left(matches, prefix[-1]) if prefix else 0
+        head = tuple(universe[i] for i in prefix)
+        for last in matches[start:]:
+            yield head + (universe[last],)
+
+
 def _candidate(specs: tuple[tuple[int, tuple[int, ...]], ...], n: int) -> FixedPointData:
     points = tuple(
         FixedPointDatum(f"p{index + 1}", sign, weights)
@@ -142,7 +200,7 @@ def trichotomy_match(data: FixedPointData) -> TrichotomyVerdict:
 
 @dataclass(frozen=True)
 class SurveyReport:
-    """Aggregated outcome of a bounded brute-force survey."""
+    """Aggregated outcome of a bounded survey."""
 
     bounds: SearchBounds
     candidates: int
@@ -174,22 +232,38 @@ def _survivor_entry(data: FixedPointData) -> dict:
 def survey(bounds: SearchBounds) -> SurveyReport:
     """Run the identity suite over every candidate and classify survivors.
 
-    Rejections are tallied by the first failing checker.  For two-point
-    bounds, survivors additionally get a shape verdict; survivors with
-    verdict ``none`` are flagged.  The report is deterministic for given
-    bounds, independent of the worker-thread count.
+    Rejections are tallied by the first failing checker.  Unbalanced
+    candidates are counted, not built; the balanced ones run the whole
+    suite.  For two-point bounds, survivors additionally get a shape
+    verdict; survivors with verdict ``none`` are flagged.  The report is
+    deterministic for given bounds, independent of the worker-thread count.
+    Raises ``ValueError`` when the bounds need more than
+    ``MAX_SURVEY_PREFIXES`` prefixes or point specs.
     """
+    # |U| = 2 * C(2W + n - 1, n), known before the universe is listed
+    n, w = bounds.half_dim, bounds.max_weight
+    size = 2 * math.comb(2 * w + n - 1, n)
+    prefixes = math.comb(size + bounds.points - 2, bounds.points - 1)
+    if max(size, prefixes) > MAX_SURVEY_PREFIXES:
+        raise ValueError(
+            f"survey too large: {size} point specs and {prefixes} prefixes "
+            f"exceed the limit of {MAX_SURVEY_PREFIXES}"
+        )
     universe = _point_universe(bounds)
-    combos = list(itertools.combinations_with_replacement(universe, bounds.points))
+    balanced = list(_balanced_combinations(universe, bounds.points, w))
 
     def evaluate(specs):
-        data = _candidate(specs, bounds.half_dim)
+        # Only survivors keep their data, so rejected candidates are freed
+        # as the map goes.
+        data = _candidate(specs, n)
         outcomes, passed = evaluate_filters(data)
-        return data, outcomes, passed
+        return outcomes[-1].name, data if passed else None
 
-    results = parallel_map(evaluate, combos)
+    results = parallel_map(evaluate, balanced)
 
+    candidates = math.comb(size + bounds.points - 1, bounds.points)
     rejects = {name: 0 for name in FILTER_NAMES}
+    rejects["weight_balance"] = candidates - len(balanced)
     survivors: list[dict] = []
     flagged: list[dict] = []
     classify_pairs = bounds.points == 2
@@ -198,9 +272,9 @@ def survey(bounds: SearchBounds) -> SurveyReport:
         if classify_pairs
         else None
     )
-    for data, outcomes, passed in results:
-        if not passed:
-            rejects[outcomes[-1].name] += 1
+    for name, data in results:
+        if data is None:
+            rejects[name] += 1
             continue
         entry = _survivor_entry(data)
         if classify_pairs:
@@ -217,7 +291,7 @@ def survey(bounds: SearchBounds) -> SurveyReport:
         survivors.append(entry)
     return SurveyReport(
         bounds=bounds,
-        candidates=len(combos),
+        candidates=candidates,
         rejects=rejects,
         survivors=tuple(survivors),
         tallies=tallies,

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=_nonnegative, required=True)
 
     p = sub.add_parser(
-        "classify", parents=[common], help="brute-force survey within bounds"
+        "classify", parents=[common], help="survey every datum within bounds"
     )
     p.add_argument("--points", type=_positive, required=True)
     p.add_argument("--dim", type=_even_dimension, required=True)

@@ -3,7 +3,7 @@
 Data coming from an actual manifold satisfies a stack of arithmetic
 identities.  Each checker here tests one of them and reports a
 :class:`CheckOutcome` with a witness for the first violation found, so the
-suite doubles as a realizability filter for the brute-force classifier:
+suite doubles as a realizability filter for the survey classifier:
 
 * signed weight balance — for every w, the signed count of weight w equals
   the signed count of weight -w;

@@ -1,21 +1,26 @@
-"""Brute-force survey, two-point shape matching, random data generation."""
+"""Bounded survey, two-point shape matching, random data generation."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+import fpkit.classify
 from fpkit.classify import (
     FILTER_NAMES,
     FLAG_TEXT,
     SearchBounds,
     TrichotomyVerdict,
+    _candidate,
+    _point_universe,
     random_graph_data,
     random_multigraph,
     survey,
     trichotomy_match,
 )
 from fpkit.data import serialize_data
-from fpkit.identities import all_passed, validate_all
+from fpkit.identities import all_passed, evaluate_filters, validate_all
 from fpkit.multigraph import build_multigraph, describes, induced_data
 from tests.conftest import make_data
 
@@ -108,6 +113,49 @@ class TestTrichotomyMatch:
             trichotomy_match(make_data(1, [("p", 1, (1,))]))
 
 
+def brute_force_survey(bounds: SearchBounds) -> dict:
+    """Reference report: every candidate is built and runs every filter."""
+    combos = list(
+        itertools.combinations_with_replacement(_point_universe(bounds), bounds.points)
+    )
+    rejects = {name: 0 for name in FILTER_NAMES}
+    survivors, flagged = [], []
+    pairs = bounds.points == 2
+    tallies = (
+        {case: 0 for case in ("dim2-samesign", "dim6-samesign", "mirror-oppositesign", "none")}
+        if pairs
+        else None
+    )
+    for specs in combos:
+        data = _candidate(specs, bounds.half_dim)
+        outcomes, passed = evaluate_filters(data)
+        if not passed:
+            rejects[outcomes[-1].name] += 1
+            continue
+        entry = {
+            "points": [
+                {"id": p.id, "sign": p.sign, "weights": list(p.weights)}
+                for p in data.points
+            ]
+        }
+        if pairs:
+            verdict = trichotomy_match(data)
+            tallies[verdict.case] += 1
+            entry["verdict"] = verdict.case
+            entry["parameters"] = list(verdict.parameters) if verdict.parameters else None
+            if verdict.case == "none":
+                flagged.append({**entry, "flag": FLAG_TEXT})
+        survivors.append(entry)
+    return {
+        "bounds": bounds.to_dict(),
+        "candidates": len(combos),
+        "rejects": rejects,
+        "survivors": survivors,
+        "trichotomy": tallies,
+        "flagged": flagged,
+    }
+
+
 class TestEnumeration:
     def test_candidate_count(self):
         # n=1, W=1: two weight choices and two signs make 4 point specs;
@@ -118,6 +166,35 @@ class TestEnumeration:
 
     def test_deterministic_order(self):
         assert survey(SearchBounds(2, 1, 1)) == survey(SearchBounds(2, 1, 1))
+
+    # k = 1..5; (1,2,2) has min_weight_index_balance rejections, (2,3,3),
+    # (3,2,3) and (4,2,2) also abbv_vanishing ones
+    @pytest.mark.parametrize(
+        "bounds",
+        [(1, 2, 2), (2, 2, 2), (2, 3, 3), (3, 2, 3), (4, 2, 2), (4, 1, 5), (5, 1, 3)],
+    )
+    def test_join_matches_brute_force(self, bounds):
+        bounds = SearchBounds(*bounds)
+        assert survey(bounds).to_dict() == brute_force_survey(bounds)
+
+    def test_unbalanced_candidates_never_built(self, monkeypatch):
+        calls = []
+
+        def counting(specs, n):
+            calls.append(specs)
+            return _candidate(specs, n)
+
+        monkeypatch.setattr(fpkit.classify, "_candidate", counting)
+        report = survey(SearchBounds(2, 3, 3))
+        assert len(calls) == report.candidates - report.rejects["weight_balance"]
+        assert len(calls) == 184
+
+    def test_oversized_bounds_refused(self):
+        with pytest.raises(ValueError, match="survey too large"):
+            survey(SearchBounds(4, 5, 9))
+        # one point, but too many point specs to list
+        with pytest.raises(ValueError, match="survey too large"):
+            survey(SearchBounds(1, 20, 9))
 
 
 class TestSurvey:

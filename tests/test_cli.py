@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import io
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -339,6 +340,19 @@ class TestClassify:
     def test_odd_dim_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["classify", "--points", "2", "--dim", "3", "--max-weight", "1"])
+
+    def test_oversized_survey_refused(self, capsys):
+        # about 3e17 candidates: refused before any enumeration
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "classify", "--points", "4", "--dim", "10", "--max-weight", "9"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: survey too large")
 
 
 class TestRandom:
