@@ -236,7 +236,7 @@ def survey(bounds: SearchBounds) -> SurveyReport:
     candidates are counted, not built; the balanced ones run the whole
     suite.  For two-point bounds, survivors additionally get a shape
     verdict; survivors with verdict ``none`` are flagged.  The report is
-    deterministic for given bounds, independent of the worker-thread count.
+    deterministic for given bounds.
     Raises ``ValueError`` when the bounds need more than
     ``MAX_SURVEY_PREFIXES`` prefixes or point specs.
     """
@@ -250,7 +250,7 @@ def survey(bounds: SearchBounds) -> SurveyReport:
             f"exceed the limit of {MAX_SURVEY_PREFIXES}"
         )
     universe = _point_universe(bounds)
-    balanced = list(_balanced_combinations(universe, bounds.points, w))
+    balanced = _balanced_combinations(universe, bounds.points, w)
 
     def evaluate(specs):
         # Only survivors keep their data, so rejected candidates are freed
@@ -263,7 +263,7 @@ def survey(bounds: SearchBounds) -> SurveyReport:
 
     candidates = math.comb(size + bounds.points - 1, bounds.points)
     rejects = {name: 0 for name in FILTER_NAMES}
-    rejects["weight_balance"] = candidates - len(balanced)
+    rejects["weight_balance"] = candidates - len(results)
     survivors: list[dict] = []
     flagged: list[dict] = []
     classify_pairs = bounds.points == 2

@@ -5,9 +5,6 @@ report.  Output is JSON by default (`--format text` for a human rendering)
 and byte-identical for identical inputs and flags.  Exit codes: 0 success,
 1 = the run completed but the data failed a check (failed validation, or a
 graph that cannot be built from the data), 2 = usage or IO errors.
-
-The FPKIT_THREADS environment variable caps worker threads for the
-classification survey.
 """
 
 from __future__ import annotations
@@ -16,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable
 
 from fpkit.classify import SearchBounds, random_graph_data, survey
 from fpkit.data import FixedPointData, load_data, serialize_data
@@ -36,34 +34,27 @@ from fpkit.multigraph import (
 )
 
 
-def _even_dimension(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 2 or value % 2 != 0:
-        raise argparse.ArgumentTypeError("dimension must be a positive even integer")
-    return value
+def _integer(accept: Callable[[int], bool], message: str) -> Callable[[str], int]:
+    """An argparse type: an integer that ``accept`` admits, else ``message``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
-    return value
-
-
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be nonnegative")
-    return value
+_even_dimension = _integer(
+    lambda value: value >= 2 and value % 2 == 0,
+    "dimension must be a positive even integer",
+)
+_positive = _integer(lambda value: value >= 1, "value must be a positive integer")
+_nonnegative = _integer(lambda value: value >= 0, "value must be nonnegative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
     p.add_argument("--dot", metavar="PATH", help="also write DOT output to PATH")
+    p.set_defaults(modulus=None)
 
     p = sub.add_parser(
         "subgraph",
@@ -260,14 +252,13 @@ def cmd_genus(args: argparse.Namespace) -> int:
 
 
 def _graph_payload(graph: SignedMultigraph, data: FixedPointData) -> dict:
-    partitions = dict(data.isotropy_components) if data.isotropy_components else None
-    verdict = describes(graph, data, partitions)
     payload = graph.to_dict()
-    payload["describes"] = bool(verdict)
+    payload["describes"] = bool(describes(graph, data))
     return payload
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    """``graph``, and ``subgraph`` when ``args.modulus`` is set."""
     data = load_data(args.file)
     try:
         graph = build_multigraph(data)
@@ -277,32 +268,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
         else:
             print(f"error: {exc}")
         return 1
-    payload = _graph_payload(graph, data)
-    dot = export_dot(graph)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
-    if args.format == "json":
-        _emit_json(payload)
+    if args.modulus is None:
+        payload = _graph_payload(graph, data)
     else:
-        sys.stdout.write(dot)
-    return 0
-
-
-def cmd_subgraph(args: argparse.Namespace) -> int:
-    data = load_data(args.file)
-    try:
-        graph = build_multigraph(data)
-    except BalanceError as exc:
-        if args.format == "json":
-            _emit_json(exc.to_dict())
-        else:
-            print(f"error: {exc}")
-        return 1
-    restricted = sub_multigraph(graph, args.modulus)
-    payload = restricted.to_dict()
-    payload["modulus"] = args.modulus
-    dot = export_dot(restricted)
+        graph = sub_multigraph(graph, args.modulus)
+        payload = graph.to_dict()
+        payload["modulus"] = args.modulus
+    dot = export_dot(graph)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(dot)
@@ -415,7 +387,7 @@ _COMMANDS = {
     "validate": cmd_validate,
     "genus": cmd_genus,
     "graph": cmd_graph,
-    "subgraph": cmd_subgraph,
+    "subgraph": cmd_graph,
     "abbv": cmd_abbv,
     "classify": cmd_classify,
     "random": cmd_random,

@@ -53,30 +53,29 @@ def signed_index_counts(data: FixedPointData) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GenusReport:
-    """Bundle of genus values with their defining identities enforced.
+    """Genus values read off the signed index counts.
 
-    chi[i] is the i-th genus component, N[i] the signed index count, todd the
-    0-th component, and txy the genus polynomial coefficients (equal to chi).
-    ``symbolic_constant`` records whether the symbolic route produced a
-    constant rational function for every i.
+    N[i] is the signed index count and ``symbolic_constant`` records whether
+    the symbolic route produced a constant rational function for every i.
+    The rest follows from N: chi[i] = (-1)^i * N[i] is the i-th genus
+    component, todd the 0-th one, and txy the genus polynomial coefficients
+    (equal to chi).
     """
 
-    chi: tuple[int, ...]
     N: tuple[int, ...]
-    todd: int
     symbolic_constant: bool
-    txy: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not (len(self.chi) == len(self.N) == len(self.txy)):
-            raise ValueError("chi, N and txy must all have n + 1 entries")
-        for i, (c, count) in enumerate(zip(self.chi, self.N)):
-            if c != (-1) ** i * count:
-                raise ValueError(f"chi[{i}] must equal (-1)^{i} * N[{i}]")
-        if self.todd != self.chi[0]:
-            raise ValueError("todd must equal chi[0]")
-        if self.txy != self.chi:
-            raise ValueError("txy must equal chi")
+    @property
+    def chi(self) -> tuple[int, ...]:
+        return tuple((-1) ** i * count for i, count in enumerate(self.N))
+
+    @property
+    def todd(self) -> int:
+        return self.N[0]
+
+    @property
+    def txy(self) -> tuple[int, ...]:
+        return self.chi
 
     def to_dict(self) -> dict:
         return {
@@ -174,11 +173,7 @@ def default_series_order(data: FixedPointData) -> int:
 
 def counting_report(data: FixedPointData, symbolic_constant: bool) -> GenusReport:
     """The genus report read off signs and indices, with the given flag."""
-    counts = signed_index_counts(data)
-    chi = tuple((-1) ** i * c for i, c in enumerate(counts))
-    return GenusReport(
-        chi=chi, N=counts, todd=chi[0], symbolic_constant=symbolic_constant, txy=chi
-    )
+    return GenusReport(signed_index_counts(data), symbolic_constant)
 
 
 def chi_counting(data: FixedPointData) -> GenusReport:

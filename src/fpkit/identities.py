@@ -307,16 +307,15 @@ def validate_all(data: FixedPointData, strict: bool = False) -> list[CheckOutcom
     return list(_iter_checks(data, strict))
 
 
-def evaluate_filters(
-    data: FixedPointData, strict: bool = False
-) -> tuple[list[CheckOutcome], bool]:
-    """Run checks but stop at the first failure (for enumeration loops).
+def evaluate_filters(data: FixedPointData) -> tuple[list[CheckOutcome], bool]:
+    """Run the non-strict checks but stop at the first failure (for
+    enumeration loops).
 
     Returns the outcomes produced up to and including the first failing one,
     plus an overall verdict.
     """
     outcomes: list[CheckOutcome] = []
-    for outcome in _iter_checks(data, strict):
+    for outcome in _iter_checks(data, strict=False):
         outcomes.append(outcome)
         if not outcome.passed:
             return outcomes, False

@@ -6,13 +6,14 @@ integer label w.  An edge e from r to s encodes one weight at each endpoint:
     r (initial) gets  sign(r) * w(e),      s (terminal) gets  -sign(s) * w(e).
 
 A graph *describes* a data set when vertices, signs, and the reconstructed
-weight multisets all match (and, when partitions are supplied, each edge's
-endpoints share an isotropy block for the edge's label).
+weight multisets all match (and, when the data stores isotropy components,
+each edge's endpoints share an isotropy block for the edge's label).
 
 `build_multigraph` constructs such a graph from data by a deterministic
-matching.  For every weight magnitude w and every partition block F, each
-member's F-index is its number of negative weights divisible by w.  The +-w
-weight slots are then split into two sides per level i:
+matching.  For every weight magnitude w and every block F of the isotropy
+partition (`default_isotropy_partition`), each member's F-index is its number
+of negative weights divisible by w.  The +-w weight slots are then split into
+two sides per level i:
 
     source side:  +w slots at sign=+1 points of F-index i,
                   -w slots at sign=-1 points of F-index i+1;
@@ -27,15 +28,9 @@ never occupies both sides of one level, so self-loops cannot arise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
-from fpkit.data import (
-    FixedPointData,
-    FixedPointDatum,
-    Partition,
-    default_isotropy_partition,
-)
+from fpkit.data import FixedPointData, FixedPointDatum, default_isotropy_partition
 
 
 class BalanceError(ValueError):
@@ -71,39 +66,14 @@ class BalanceError(ValueError):
         }
 
 
-#: Pairing patterns by (source sign, target sign): a source vertex always
-#: contributes weight sign(source) * w, a target always -sign(target) * w.
-_CASE_TAGS = {(1, -1): "a", (1, 1): "b", (-1, -1): "c", (-1, 1): "d"}
-
-
-@dataclass(frozen=True, order=True)
-class MatchingSlot:
-    """One weight occurrence entering the matching.
-
-    Sorting is by (point id, slot index); the slot index is the weight's
-    position in the point's sorted weight tuple, which makes ties
-    deterministic.
-    """
-
-    point_id: str
-    slot_index: int
-
-
 @dataclass(frozen=True)
 class Edge:
-    """A directed labeled edge; ids are sequential in construction order.
-
-    ``block`` and ``case_tag`` record which isotropy block and which pairing
-    pattern produced the edge; they are construction provenance and take no
-    part in comparison or serialization.
-    """
+    """A directed labeled edge; ids are sequential in construction order."""
 
     edge_id: int
     source: str
     target: str
     label: int
-    block: tuple[str, ...] = field(default=(), compare=False, repr=False)
-    case_tag: str = field(default="", compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {"from": self.source, "to": self.target, "label": self.label}
@@ -171,36 +141,24 @@ def _f_index(point: FixedPointDatum, modulus: int) -> int:
     return sum(1 for w in point.weights if w < 0 and w % modulus == 0)
 
 
-def _resolve_partition(
-    data: FixedPointData,
-    modulus: int,
-    partitions: "Mapping[int, Partition] | None",
-) -> Partition:
-    if partitions is not None and modulus in partitions:
-        return tuple(tuple(block) for block in partitions[modulus])
-    return default_isotropy_partition(data, modulus)
-
-
-def build_multigraph(
-    data: FixedPointData,
-    partitions: "Mapping[int, Partition] | None" = None,
-) -> SignedMultigraph:
+def build_multigraph(data: FixedPointData) -> SignedMultigraph:
     """Construct a describing multigraph by the per-level matching.
 
-    ``partitions`` overrides the isotropy partition per modulus; otherwise
-    partitions stored in the data win, then residue-class grouping.  Raises
+    Each modulus is matched within the blocks of its isotropy partition: the
+    one stored in the data, else the residue classes.  Raises
     :class:`BalanceError` when some (modulus, block, level) has unequal slot
-    sides — the data cannot be realized with the given partitions.
+    sides — the data cannot be realized with those partitions.
     """
     vertices = tuple((p.id, p.sign) for p in data.points)
     edges: list[Edge] = []
     edge_id = 0
     for modulus in sorted({abs(w) for p in data.points for w in p.weights}):
-        partition = _resolve_partition(data, modulus, partitions)
-        for block in partition:
+        for block in default_isotropy_partition(data, modulus):
             members = [data.point(pid) for pid in block]
-            sources: dict[int, list[MatchingSlot]] = {}
-            targets: dict[int, list[MatchingSlot]] = {}
+            # slots are (point id, slot index), the index being the weight's
+            # position in the point's sorted weights, so ties sort stably
+            sources: dict[int, list[tuple[str, int]]] = {}
+            targets: dict[int, list[tuple[str, int]]] = {}
             for member in members:
                 f_index = _f_index(member, modulus)
                 for slot_index, w in enumerate(member.weights):
@@ -212,7 +170,7 @@ def build_multigraph(
                         level = f_index - 1
                     else:
                         continue
-                    onto.setdefault(level, []).append(MatchingSlot(member.id, slot_index))
+                    onto.setdefault(level, []).append((member.id, slot_index))
             for level in sorted(set(sources) | set(targets)):
                 source_side = sorted(sources.get(level, []))
                 target_side = sorted(targets.get(level, []))
@@ -224,24 +182,12 @@ def build_multigraph(
                         len(source_side),
                         len(target_side),
                     )
-                for src, dst in zip(source_side, target_side):
+                for (src, _), (dst, _) in zip(source_side, target_side):
                     # A point's slots on the two sides of a round always sit
                     # at different levels, so this cannot pair a point with
                     # itself.
-                    assert src.point_id != dst.point_id
-                    tag = _CASE_TAGS[
-                        (data.point(src.point_id).sign, data.point(dst.point_id).sign)
-                    ]
-                    edges.append(
-                        Edge(
-                            edge_id,
-                            src.point_id,
-                            dst.point_id,
-                            modulus,
-                            tuple(block),
-                            tag,
-                        )
-                    )
+                    assert src != dst
+                    edges.append(Edge(edge_id, src, dst, modulus))
                     edge_id += 1
     return SignedMultigraph(vertices, tuple(edges))
 
@@ -257,16 +203,22 @@ class DescribesResult:
         return self.ok
 
 
-def describes(
-    graph: SignedMultigraph,
-    data: FixedPointData,
-    partitions: "Mapping[int, Partition] | None" = None,
-) -> DescribesResult:
+def _endpoint_weights(graph: SignedMultigraph) -> dict[str, list[int]]:
+    """Per-vertex weights read off the edges, in edge order."""
+    signs = dict(graph.vertices)
+    weights: dict[str, list[int]] = {vertex_id: [] for vertex_id in signs}
+    for edge in graph.edges:
+        weights[edge.source].append(signs[edge.source] * edge.label)
+        weights[edge.target].append(-signs[edge.target] * edge.label)
+    return weights
+
+
+def describes(graph: SignedMultigraph, data: FixedPointData) -> DescribesResult:
     """Check vertices, signs, and reconstructed weights against the data.
 
-    When ``partitions`` is given, additionally require each edge's endpoints
-    to share a block of the partition for the edge's label (moduli missing
-    from the mapping fall back to the data's default partition).
+    When the data stores isotropy components, additionally require each
+    edge's endpoints to share a block of `default_isotropy_partition` for
+    the edge's label.
     """
     graph_ids = graph.vertex_ids
     if sorted(graph_ids) != sorted(data.ids) or len(graph_ids) != len(data.ids):
@@ -289,10 +241,7 @@ def describes(
                     "data": data.point(vertex_id).sign,
                 },
             )
-    reconstructed: dict[str, list[int]] = {vertex_id: [] for vertex_id in graph_ids}
-    for edge in graph.edges:
-        reconstructed[edge.source].append(graph.sign_of(edge.source) * edge.label)
-        reconstructed[edge.target].append(-graph.sign_of(edge.target) * edge.label)
+    reconstructed = _endpoint_weights(graph)
     for point in data.points:
         rebuilt = tuple(sorted(reconstructed[point.id]))
         if rebuilt != point.weights:
@@ -305,11 +254,11 @@ def describes(
                     "data": list(point.weights),
                 },
             )
-    if partitions is not None:
+    if data.isotropy_components:
         block_of: dict[int, dict[str, int]] = {}
         for edge in graph.edges:
             if edge.label not in block_of:
-                partition = _resolve_partition(data, edge.label, partitions)
+                partition = default_isotropy_partition(data, edge.label)
                 block_of[edge.label] = {
                     pid: index
                     for index, block in enumerate(partition)
@@ -333,10 +282,7 @@ def induced_data(
     graph: SignedMultigraph, n: int, name: str = ""
 ) -> FixedPointData:
     """Read fixed-point data off a graph (every vertex must have degree n)."""
-    weights: dict[str, list[int]] = {vertex_id: [] for vertex_id in graph.vertex_ids}
-    for edge in graph.edges:
-        weights[edge.source].append(graph.sign_of(edge.source) * edge.label)
-        weights[edge.target].append(-graph.sign_of(edge.target) * edge.label)
+    weights = _endpoint_weights(graph)
     for vertex_id, collected in weights.items():
         if len(collected) != n:
             raise ValueError(

@@ -1,40 +1,13 @@
-"""Worker-thread plumbing controlled by the FPKIT_THREADS environment variable."""
+"""The order-preserving map the classification survey runs its candidates through."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-ENV_VAR = "FPKIT_THREADS"
-
-
-def thread_count() -> int:
-    """Worker count from FPKIT_THREADS (default 1; must be a positive integer)."""
-    raw = os.environ.get(ENV_VAR)
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
-    return count
-
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Order-preserving map over items, threaded when FPKIT_THREADS > 1.
-
-    Results are identical to the serial map regardless of the worker count;
-    only wall-clock behavior may differ.
-    """
-    materialized = list(items)
-    count = thread_count()
-    if count <= 1 or len(materialized) <= 1:
-        return [fn(item) for item in materialized]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, materialized))
+    """``[fn(item) for item in items]``, in order, in the calling thread."""
+    return [fn(item) for item in items]

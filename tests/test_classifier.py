@@ -264,13 +264,6 @@ class TestSurvey:
         b = survey(SearchBounds(2, 1, 2)).to_dict()
         assert a == b
 
-    def test_thread_count_invariance(self, monkeypatch):
-        monkeypatch.delenv("FPKIT_THREADS", raising=False)
-        serial = survey(SearchBounds(2, 2, 2)).to_dict()
-        monkeypatch.setenv("FPKIT_THREADS", "4")
-        threaded = survey(SearchBounds(2, 2, 2)).to_dict()
-        assert serial == threaded
-
     def test_report_dict_shape(self):
         payload = survey(SearchBounds(2, 1, 1)).to_dict()
         assert set(payload) == {

@@ -70,20 +70,9 @@ class TestCountingRoute:
 
 class TestGenusReportInvariants:
     def test_sign_pattern_enforced(self):
-        with pytest.raises(ValueError, match="chi\\[1\\]"):
-            GenusReport(chi=(1, 1), N=(1, 1), todd=1, symbolic_constant=True, txy=(1, 1))
-
-    def test_todd_enforced(self):
-        with pytest.raises(ValueError, match="todd"):
-            GenusReport(chi=(1, -1), N=(1, 1), todd=0, symbolic_constant=True, txy=(1, -1))
-
-    def test_txy_enforced(self):
-        with pytest.raises(ValueError, match="txy"):
-            GenusReport(chi=(1, -1), N=(1, 1), todd=1, symbolic_constant=True, txy=(1, 1))
-
-    def test_length_enforced(self):
-        with pytest.raises(ValueError, match="entries"):
-            GenusReport(chi=(1,), N=(1, 1), todd=1, symbolic_constant=True, txy=(1,))
+        report = GenusReport(N=(-2, -3, 1), symbolic_constant=True)
+        assert report.chi == report.txy == (-2, 3, 1)
+        assert report.todd == -2
 
 
 class TestSymbolicRoute:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from fpkit.multigraph import (
@@ -51,8 +53,17 @@ class TestBuildFixtures:
         assert describes(build_multigraph(s8), s8)
 
     def test_explicit_partitions_override(self, s2n):
-        graph = build_multigraph(s2n, partitions={3: (("p", "q"),)})
-        assert describes(graph, s2n, partitions={3: (("p", "q"),)})
+        stored = dataclasses.replace(s2n, isotropy_components={3: (("p", "q"),)})
+        graph = build_multigraph(stored)
+        assert describes(graph, stored)
+
+    def test_equal_negative_signs(self):
+        data = make_data(1, [("p", -1, (1,)), ("q", -1, (-1,))])
+        assert edge_triples(build_multigraph(data)) == [("q", "p", 1)]
+
+    def test_opposite_signs_source_negative(self):
+        data = make_data(1, [("p", 1, (-1,)), ("q", -1, (-1,))])
+        assert edge_triples(build_multigraph(data)) == [("q", "p", 1)]
 
     def test_edge_ids_sequential(self, s2n):
         graph = build_multigraph(s2n)
@@ -61,31 +72,6 @@ class TestBuildFixtures:
 
     def test_deterministic(self, s6):
         assert build_multigraph(s6) == build_multigraph(s6)
-
-
-class TestCaseTags:
-    def test_opposite_signs_source_positive(self, s2n):
-        # + source to - target
-        assert {e.case_tag for e in build_multigraph(s2n).edges} == {"a"}
-
-    def test_equal_positive_signs(self, s6):
-        assert {e.case_tag for e in build_multigraph(s6).edges} == {"b"}
-
-    def test_equal_negative_signs(self):
-        data = make_data(1, [("p", -1, (1,)), ("q", -1, (-1,))])
-        graph = build_multigraph(data)
-        assert edge_triples(graph) == [("q", "p", 1)]
-        assert graph.edges[0].case_tag == "c"
-
-    def test_opposite_signs_source_negative(self):
-        data = make_data(1, [("p", 1, (-1,)), ("q", -1, (-1,))])
-        graph = build_multigraph(data)
-        assert edge_triples(graph) == [("q", "p", 1)]
-        assert graph.edges[0].case_tag == "d"
-
-    def test_block_provenance_recorded(self, s8):
-        graph = build_multigraph(s8)
-        assert all(e.block == ("p", "q") for e in graph.edges)
 
 
 class TestBalanceError:
@@ -110,10 +96,11 @@ class TestBalanceError:
         assert issubclass(BalanceError, ValueError)
 
     def test_partition_can_induce_failure(self, s2n):
-        # force p and q into separate mod-2 blocks: each block is one point
+        # store p and q in separate mod-2 blocks: each block is one point
         # with an unpaired weight
+        split = dataclasses.replace(s2n, isotropy_components={2: (("p",), ("q",))})
         with pytest.raises(BalanceError):
-            build_multigraph(s2n, partitions={2: (("p",), ("q",))})
+            build_multigraph(split)
 
 
 class TestDescribes:
@@ -146,12 +133,14 @@ class TestDescribes:
 
     def test_witness_partition_blocks(self, s2n):
         graph = build_multigraph(s2n)
-        result = describes(graph, s2n, partitions={2: (("p",), ("q",))})
+        split = dataclasses.replace(s2n, isotropy_components={2: (("p",), ("q",))})
+        result = describes(graph, split)
         assert not result
         assert result.witness["reason"] == "edge endpoints in different isotropy blocks"
         assert result.witness["label"] == 2
 
     def test_partitions_not_checked_by_default(self, s2n):
+        # s2n stores no isotropy components, so no block is checked
         assert describes(build_multigraph(s2n), s2n)
 
 

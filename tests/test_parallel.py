@@ -1,45 +1,13 @@
-"""Worker-thread configuration and the order-preserving map."""
+"""The order-preserving map the survey runs its candidates through."""
 
 from __future__ import annotations
 
-import pytest
-
-from fpkit.parallel import ENV_VAR, parallel_map, thread_count
-
-
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert thread_count() == 1
-
-    def test_empty_is_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "  ")
-        assert thread_count() == 1
-
-    def test_explicit_value(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "4")
-        assert thread_count() == 4
-
-    @pytest.mark.parametrize("value", ["zero", "1.5", "0", "-2"])
-    def test_rejects_bad_values(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_VAR, value)
-        with pytest.raises(ValueError, match="positive integer"):
-            thread_count()
+from fpkit.parallel import parallel_map
 
 
 class TestParallelMap:
-    def test_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_serial(self):
         assert parallel_map(lambda x: x * x, range(6)) == [0, 1, 4, 9, 16, 25]
 
-    def test_threaded_preserves_order(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "3")
-        assert parallel_map(lambda x: x * x, range(40)) == [x * x for x in range(40)]
-
-    def test_single_item_runs_serial(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "8")
-        assert parallel_map(lambda x: x + 1, [41]) == [42]
-
-    def test_empty(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_empty(self):
         assert parallel_map(lambda x: x, []) == []
