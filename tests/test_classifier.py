@@ -264,6 +264,14 @@ class TestSurvey:
         b = survey(SearchBounds(2, 1, 2)).to_dict()
         assert a == b
 
+    def test_thread_count_invariance(self, monkeypatch):
+        # the survey runs one serial path: FPKIT_THREADS is not read
+        monkeypatch.delenv("FPKIT_THREADS", raising=False)
+        serial = survey(SearchBounds(2, 2, 2)).to_dict()
+        for value in ("4", "zero"):
+            monkeypatch.setenv("FPKIT_THREADS", value)
+            assert survey(SearchBounds(2, 2, 2)).to_dict() == serial
+
     def test_report_dict_shape(self):
         payload = survey(SearchBounds(2, 1, 1)).to_dict()
         assert set(payload) == {

@@ -337,6 +337,16 @@ class TestClassify:
         assert "candidates: 36" in out
         assert "survivors: 8" in out
 
+    def test_thread_variable_ignored(self, capsys, monkeypatch):
+        # a malformed FPKIT_THREADS once exited 2; the survey no longer reads it
+        args = ("classify", "--points", "2", "--dim", "2", "--max-weight", "2")
+        monkeypatch.delenv("FPKIT_THREADS", raising=False)
+        _, expected, _ = run(capsys, *args)
+        monkeypatch.setenv("FPKIT_THREADS", "zero")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == expected
+
     def test_odd_dim_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["classify", "--points", "2", "--dim", "3", "--max-weight", "1"])
@@ -498,6 +508,24 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["subgraph", S8, "--modulus", "x"], "'x' is not an integer"),
+            (["subgraph", S8, "--modulus", "0"], "value must be a positive integer"),
+            (["abbv", S2, "--power", "-1"], "value must be nonnegative"),
+            (
+                ["classify", "--points", "2", "--dim", "0", "--max-weight", "1"],
+                "dimension must be a positive even integer",
+            ),
+        ],
+    )
+    def test_integer_argument_messages(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_format_choice(self):
         with pytest.raises(SystemExit):

@@ -74,6 +74,18 @@ class TestGenusReportInvariants:
         assert report.chi == report.txy == (-2, 3, 1)
         assert report.todd == -2
 
+    def test_todd_enforced(self):
+        assert GenusReport(N=(3, 0, -1), symbolic_constant=True).todd == 3
+
+    def test_txy_enforced(self):
+        report = GenusReport(N=(1, 1), symbolic_constant=False)
+        assert report.txy == report.chi == (1, -1)
+
+    def test_length_enforced(self):
+        report = GenusReport(N=(1, 0, 2, -1), symbolic_constant=True)
+        payload = report.to_dict()
+        assert len(payload["chi"]) == len(payload["txy"]) == len(payload["N"]) == 4
+
 
 class TestSymbolicRoute:
     def test_two_sphere_components(self, s2_a3):

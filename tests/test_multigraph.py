@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from fpkit.data import default_isotropy_partition
 from fpkit.multigraph import (
     BalanceError,
     Edge,
@@ -21,6 +22,10 @@ from tests.conftest import GOLDEN, make_data
 
 def edge_triples(graph):
     return sorted((e.source, e.target, e.label) for e in graph.edges)
+
+
+def sign_pairs(graph):
+    return {(graph.sign_of(e.source), graph.sign_of(e.target)) for e in graph.edges}
 
 
 class TestBuildFixtures:
@@ -57,14 +62,6 @@ class TestBuildFixtures:
         graph = build_multigraph(stored)
         assert describes(graph, stored)
 
-    def test_equal_negative_signs(self):
-        data = make_data(1, [("p", -1, (1,)), ("q", -1, (-1,))])
-        assert edge_triples(build_multigraph(data)) == [("q", "p", 1)]
-
-    def test_opposite_signs_source_negative(self):
-        data = make_data(1, [("p", 1, (-1,)), ("q", -1, (-1,))])
-        assert edge_triples(build_multigraph(data)) == [("q", "p", 1)]
-
     def test_edge_ids_sequential(self, s2n):
         graph = build_multigraph(s2n)
         assert [e.edge_id for e in graph.edges] == [0, 1, 2, 3]
@@ -72,6 +69,39 @@ class TestBuildFixtures:
 
     def test_deterministic(self, s6):
         assert build_multigraph(s6) == build_multigraph(s6)
+
+
+class TestCaseTags:
+    """The four sign cases of an edge, read off its endpoints' signs."""
+
+    def test_opposite_signs_source_positive(self, s2n):
+        # + source to - target
+        graph = build_multigraph(s2n)
+        assert sign_pairs(graph) == {(1, -1)}
+
+    def test_equal_positive_signs(self, s6):
+        graph = build_multigraph(s6)
+        assert sign_pairs(graph) == {(1, 1)}
+
+    def test_equal_negative_signs(self):
+        data = make_data(1, [("p", -1, (1,)), ("q", -1, (-1,))])
+        graph = build_multigraph(data)
+        assert edge_triples(graph) == [("q", "p", 1)]
+        assert sign_pairs(graph) == {(-1, -1)}
+
+    def test_opposite_signs_source_negative(self):
+        data = make_data(1, [("p", 1, (-1,)), ("q", -1, (-1,))])
+        graph = build_multigraph(data)
+        assert edge_triples(graph) == [("q", "p", 1)]
+        assert sign_pairs(graph) == {(-1, 1)}
+
+    def test_block_provenance_recorded(self, s8):
+        # every edge joins two members of one stored block for its label
+        graph = build_multigraph(s8)
+        assert graph.edges
+        for edge in graph.edges:
+            blocks = default_isotropy_partition(s8, edge.label)
+            assert any(edge.source in b and edge.target in b for b in blocks)
 
 
 class TestBalanceError:
