@@ -13,9 +13,21 @@ all three layers hold Python ints, and their constructors raise
   structural comparison.
 * `TruncatedSeries` — power-series coefficients through a fixed order K.
 
-Reduction runs on integers throughout: `poly_gcd` is a primitive
-pseudo-remainder loop, and dividing by a primitive gcd stays in Z by Gauss's
-lemma, so `_exact_div` raises instead of ever leaving the integers.
+`cyclotomic_sum` reduces a sum of terms J / prod (1 - t^m), the shape of
+every genus localization sum, over one common denominator built from
+cyclotomic polynomials Phi_d, and divides the numerator by each Phi_d while
+the division is exact.  It takes no polynomial gcd: every pass is a linear
+sweep over a coefficient list, and the reduced denominators it returns are
+products of cyclotomic polynomials.
+
+The gcd code stays as the reference the tests compare against, and because
+the benchmark's tracer (``perfbench/tracing.py``) wraps `poly_gcd` and
+`ratfun_sum` by name; no command calls it, nor `one_minus_power`, which
+builds the reference's denominators.  `poly_gcd` is a primitive
+pseudo-remainder loop, `RationalFunction` reduces with it on construction
+and adds by Henrici's algorithm, and dividing by a primitive gcd stays in Z
+by Gauss's lemma, so `_exact_div` raises instead of ever leaving the
+integers.
 
 `geometric_rewrite` expands 1/(1 - t^w) as a truncated series for positive or
 negative integer w.  A negative w is first rewritten through
@@ -29,7 +41,9 @@ tracer (``perfbench/tracing.py``) wraps them by name.
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import accumulate
 from typing import Iterable
 
 #: Degree of the zero polynomial.
@@ -230,6 +244,177 @@ def _exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
     if any(remainder[:dd]):
         raise ArithmeticError("expected an exact polynomial division over Z")
     return Polynomial(quotient)
+
+
+# -- cyclotomic reduction ---------------------------------------------------
+#
+# Every denominator the genus sums is prod (1 - t^m), and
+#
+#     1 - t^m  =  -prod_{d | m} Phi_d,
+#
+# with Phi_d the d-th cyclotomic polynomial: Phi_1 = t - 1 and, for d > 1,
+# Phi_d = prod_{e | d} (1 - t^e)^mu(d/e).  So multiplying or dividing by Phi_d
+# is 2^omega(d) linear passes over an ascending coefficient list, each one a
+# product with, or an exact quotient by, some 1 - t^e.  Since the Phi_d are
+# irreducible, dividing a numerator by each of them while the division is
+# exact reduces a sum over such denominators with no polynomial gcd.
+
+
+def _mul_one_minus_power(coeffs: list[int], m: int) -> list[int]:
+    """coeffs * (1 - t^m)."""
+    out = coeffs + [0] * m
+    out[m:] = [a - b for a, b in zip(out[m:], coeffs)]
+    return out
+
+
+def _div_one_minus_power(coeffs: list[int], m: int) -> list[int]:
+    """coeffs / (1 - t^m) over Z; ``ArithmeticError`` if it is inexact.
+
+    The quotient is the stride-m running sum q[k] = c[k] + q[k - m]; the
+    division is exact when the top m terms of that sum vanish.
+    """
+    sums = list(coeffs)
+    size = len(sums)
+    if m * m < size:
+        # few long strides: one C-level running sum per residue class
+        for r in range(m):
+            sums[r::m] = accumulate(sums[r::m])
+    else:
+        # few long blocks: each block adds the block before it
+        for start in range(m, size, m):
+            sums[start : start + m] = [
+                a + b for a, b in zip(sums[start : start + m], sums[start - m : start])
+            ]
+    quotient = max(size - m, 0)
+    if any(sums[quotient:]):
+        raise ArithmeticError("expected an exact division by 1 - t^m over Z")
+    del sums[quotient:]
+    return sums
+
+
+# Both caches pay because every component of every command asks again about
+# the same few weight magnitudes and their divisors.
+@functools.lru_cache(maxsize=1024)
+def _divisors(m: int) -> tuple[int, ...]:
+    """The positive divisors of m >= 1, ascending."""
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return tuple(small + [m // d for d in reversed(small) if d * d != m])
+
+
+@functools.lru_cache(maxsize=1024)
+def _cyclotomic_passes(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The e | d with mu(d/e) = +1 and those with mu(d/e) = -1."""
+    squarefree = [(1, 1)]  # (s, mu(s)) over the squarefree divisors s of d
+    rest, p = d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            squarefree += [(s * p, -mu) for s, mu in squarefree]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        squarefree += [(s * rest, -mu) for s, mu in squarefree]
+    ups = tuple(d // s for s, mu in squarefree if mu == 1)
+    downs = tuple(d // s for s, mu in squarefree if mu == -1)
+    return ups, downs
+
+
+def _div_cyclotomic(coeffs: list[int], d: int) -> list[int]:
+    """coeffs / Phi_d over Z; ``ArithmeticError`` if it is inexact.
+
+    The factors divided out multiply to Phi_d times those multiplied in, so
+    when Phi_d divides coeffs every division pass is exact; otherwise the
+    result is no polynomial and some pass fails.
+    """
+    ups, downs = _cyclotomic_passes(d)
+    for e in downs:
+        coeffs = _mul_one_minus_power(coeffs, e)
+    for e in ups:
+        coeffs = _div_one_minus_power(coeffs, e)
+    return [-c for c in coeffs] if d == 1 else coeffs
+
+
+def _cyclotomic_product(exponents: dict[int, int]) -> list[int]:
+    """prod_d Phi_d^exponents[d]: monic, with constant term +-1.
+
+    The product is written as +-prod_e (1 - t^e)^k_e, with k_e the sum of
+    exponents[d] * mu(d/e) over the multiples d of e; most of those Moebius
+    terms cancel, so this takes far fewer passes than one Phi_d at a time.
+    """
+    net: dict[int, int] = {}
+    for d, exponent in exponents.items():
+        ups, downs = _cyclotomic_passes(d)
+        for e in ups:
+            net[e] = net.get(e, 0) + exponent
+        for e in downs:
+            net[e] = net.get(e, 0) - exponent
+    coeffs = [1]
+    for e, k in sorted(net.items()):
+        for _ in range(k):
+            coeffs = _mul_one_minus_power(coeffs, e)
+    for e, k in sorted(net.items()):
+        for _ in range(-k):
+            coeffs = _div_one_minus_power(coeffs, e)
+    return [-c for c in coeffs] if exponents.get(1, 0) % 2 else coeffs
+
+
+def cyclotomic_sum(terms: Iterable[tuple[list[int], list[int]]]) -> "RationalFunction":
+    """sum J / prod_m (1 - t^m) over (J, magnitudes) pairs, reduced, no gcd.
+
+    Each J is an ascending coefficient list of degree at most the sum of its
+    magnitudes (a longer one raises ``ValueError``), as every localization
+    numerator is.
+
+    With c_d the number of magnitudes of one term that d divides, and e_d its
+    maximum over the terms, L = prod_d Phi_d^e_d is a common denominator.  The
+    numerator N = sum J * L / prod (1 - t^m) is divided by each Phi_d while
+    the division is exact, at most e_d times.  What is left over the
+    remaining product of distinct irreducible Phi_d is coprime, and that
+    product is monic, so the pair is the canonical form.  Each step costs
+    O(deg L) integer additions per pass, and deg L <= the sum of all m.
+    """
+    terms = [(numerator, magnitudes) for numerator, magnitudes in terms]
+    if any(len(numerator) > 1 + sum(magnitudes) for numerator, magnitudes in terms):
+        raise ValueError("a numerator outgrows its denominator")
+    # deg N <= deg L <= sum of all m.  Sizing N first also makes absurd
+    # magnitudes fail fast, before any divisor search.
+    total = [0] * (1 + sum(sum(magnitudes) for _, magnitudes in terms))
+    exponents: dict[int, int] = {}
+    for _, magnitudes in terms:
+        counts: dict[int, int] = {}
+        for m in magnitudes:
+            for d in _divisors(m):
+                counts[d] = counts.get(d, 0) + 1
+        for d, count in counts.items():
+            if count > exponents.get(d, 0):
+                exponents[d] = count
+    common = _cyclotomic_product(exponents)
+    del total[len(common) :]
+    for numerator, magnitudes in terms:
+        quotient = common
+        for m in magnitudes:
+            quotient = _div_one_minus_power(quotient, m)
+        for shift, c in enumerate(numerator):
+            if c:
+                end = shift + len(quotient)
+                total[shift:end] = [a + c * b for a, b in zip(total[shift:end], quotient)]
+    while total and total[-1] == 0:
+        total.pop()
+    if not total or total == [total[-1] * c for c in common]:
+        # N = c * L: the sum is the constant c, as it is for realizable data
+        return RationalFunction._from_coprime(Polynomial(total[-1:]), Polynomial.one())
+    remaining: dict[int, int] = {}
+    for d, exponent in exponents.items():
+        while exponent:
+            try:
+                total = _div_cyclotomic(total, d)
+            except ArithmeticError:
+                break
+            exponent -= 1
+        remaining[d] = exponent
+    return RationalFunction._from_coprime(
+        Polynomial(total), Polynomial(_cyclotomic_product(remaining))
+    )
 
 
 class RationalFunction:

@@ -4,7 +4,8 @@ Subcommands: validate, genus, graph, subgraph, abbv, classify, random,
 report.  Output is JSON by default (`--format text` for a human rendering)
 and byte-identical for identical inputs and flags.  Exit codes: 0 success,
 1 = the run completed but the data failed a check (failed validation, or a
-graph that cannot be built from the data), 2 = usage or IO errors.
+graph that cannot be built from the data), 2 = usage or IO errors, or
+sizes past memory.
 """
 
 from __future__ import annotations
@@ -403,6 +404,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except BalanceError as exc:  # unbuildable data surfacing outside graph cmds
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # sizes, such as weights or a series order, past memory
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:  # unreadable files, malformed data
         print(f"error: {exc}", file=sys.stderr)
         return 2

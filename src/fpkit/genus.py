@@ -17,15 +17,19 @@ sum is moreover a constant.
 Three computations are kept independent so they can certify each other:
 
 * the counting route reads N_i straight off the signs and indices;
-* the symbolic route reduces the sum of rational functions (`chi_symbolic`)
-  and reads the constant term off the reduced function;
+* the symbolic route reduces the sum of rational functions over one
+  cyclotomic common denominator (`chi_symbolic`, through
+  `fpkit.algebra.cyclotomic_sum`, with no polynomial gcd) and reads the
+  constant term off the reduced function;
 * the series route (`chi_series`) expands every term as an integer power
   series and never forms the reduced function.
 
 Both non-counting routes run on Python ints: every J_p and every factor
-1 - t^|w| has integer coefficients, and the reduced denominator is a
-primitive divisor of +-prod (1 - t^|w|) in Z[t], hence monic with constant
-term +-1, so the symbolic constant term is an integer too.
+1 - t^|w| has integer coefficients, and the reduced denominator is a product
+of cyclotomic polynomials dividing +-prod (1 - t^|w|), hence monic with
+constant term +-1, so the symbolic constant term is an integer too.  The
+symbolic route costs O(deg L) integer additions per cyclotomic factor step,
+where L is the common denominator and deg L <= sum |w| over all points.
 """
 
 from __future__ import annotations
@@ -33,13 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from fpkit.algebra import (
-    Polynomial,
-    RationalFunction,
-    TruncatedSeries,
-    one_minus_power,
-    ratfun_sum,
-)
+from fpkit.algebra import RationalFunction, TruncatedSeries, cyclotomic_sum
 from fpkit.data import FixedPointData, FixedPointDatum
 
 
@@ -123,22 +121,23 @@ def _numerator(point: FixedPointDatum, i: int) -> list[int]:
                 key = exponent + w
                 target[key] = target.get(key, 0) + coefficient
     top = elementary[i]
-    return [top.get(e - shift, 0) for e in range(max(top) + shift + 1)]
+    # Allocated whole, so that an absurd weight fails at once with
+    # MemoryError instead of growing a list until memory runs out.
+    coefficients = [0] * (max(top) + shift + 1)
+    for exponent, coefficient in top.items():
+        coefficients[exponent + shift] = coefficient
+    return coefficients
 
 
 def chi_symbolic(data: FixedPointData, i: int) -> SymbolicChi:
     """The i-th genus component as an exact reduced rational function."""
     if not 0 <= i <= data.n:
         raise ValueError(f"genus component index must lie in 0..{data.n}")
-    terms = []
-    for point in data.points:
-        denominator = Polynomial.one()
-        for w in point.weights:
-            denominator = denominator * one_minus_power(abs(w))
-        terms.append(RationalFunction(Polynomial(_numerator(point, i)), denominator))
-    total = ratfun_sum(terms)
-    # The reduced denominator is a primitive divisor of +-prod (1 - t^|w|) in
-    # Z[t], so its value at 0 is +-1 and the division is exact.
+    total = cyclotomic_sum(
+        (_numerator(point, i), [abs(w) for w in point.weights]) for point in data.points
+    )
+    # The reduced denominator is a product of cyclotomic polynomials, so its
+    # value at 0 is +-1 and the division is exact.
     constant_term = total.numerator.constant_term // total.denominator.constant_term
     return SymbolicChi(total, total.is_constant, constant_term)
 

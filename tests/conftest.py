@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from fpkit.algebra import Polynomial
+from fpkit.algebra import Polynomial, _exact_div
 from fpkit.data import FixedPointData, FixedPointDatum, load_data
 from fpkit.multigraph import Edge, SignedMultigraph
 
@@ -29,6 +30,30 @@ def make_data(half_dim, points, name="test", isotropy=None):
         tuple(FixedPointDatum(i, s, tuple(w)) for i, s, w in points),
         isotropy or {},
     )
+
+
+@functools.cache
+def cyclotomic(d: int) -> Polynomial:
+    """Phi_d, by exact division of t^d - 1 by Phi_e for every proper divisor e."""
+    poly = Polynomial([-1] + [0] * (d - 1) + [1])
+    for e in range(1, d):
+        if d % e == 0:
+            poly = _exact_div(poly, cyclotomic(e))
+    return poly
+
+
+def dim6(b: int) -> FixedPointData:
+    """The six-dimensional two-point datum {-1-b, 1, b} / {-1, -b, 1+b}."""
+    return make_data(3, [("p", 1, (-1 - b, 1, b)), ("q", 1, (-1, -b, 1 + b))], f"dim6-b{b}")
+
+
+def flipped(data: FixedPointData, index: int = 0) -> FixedPointData:
+    """A copy with one point's sign flipped: its genus sum is not constant."""
+    points = tuple(
+        FixedPointDatum(p.id, -p.sign if k == index else p.sign, p.weights)
+        for k, p in enumerate(data.points)
+    )
+    return FixedPointData(f"{data.name}-flip{index}", data.n, points)
 
 
 def sample_multigraph(

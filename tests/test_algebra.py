@@ -14,13 +14,24 @@ from fpkit.algebra import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    _cyclotomic_product,
+    _div_cyclotomic,
+    _div_one_minus_power,
+    _divisors,
     _exact_div,
+    _mul_one_minus_power,
+    cyclotomic_sum,
     geometric_rewrite,
     one_minus_power,
     poly_gcd,
     ratfun_sum,
 )
-from tests.conftest import coefficients_st, nonzero_polynomials_st, polynomials_st
+from tests.conftest import (
+    coefficients_st,
+    cyclotomic,
+    nonzero_polynomials_st,
+    polynomials_st,
+)
 
 
 def P(*coeffs):
@@ -139,6 +150,95 @@ def test_one_minus_power():
     assert one_minus_power(3) == P(1, 0, 0, -1)
     with pytest.raises(ValueError):
         one_minus_power(0)
+
+
+def t_power_minus_one(m: int) -> list[int]:
+    return [-1] + [0] * (m - 1) + [1]
+
+
+@st.composite
+def localization_terms_st(draw):
+    """(J, magnitudes) pairs with deg J <= sum of the magnitudes."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        magnitudes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+        numerator = draw(
+            st.lists(coefficients_st, max_size=1 + sum(magnitudes))
+        )
+        terms.append((numerator, magnitudes))
+    return terms
+
+
+class TestCyclotomic:
+    def test_divisors(self):
+        for m in range(1, 200):
+            assert _divisors(m) == tuple(d for d in range(1, m + 1) if m % d == 0)
+
+    def test_factors_of_t_power_minus_one(self):
+        # t^m - 1 = prod_{d | m} Phi_d
+        for m in range(1, 61):
+            product = _cyclotomic_product({d: 1 for d in _divisors(m)})
+            assert product == t_power_minus_one(m)
+
+    def test_moebius_passes_match_reference_factors(self):
+        for d in range(1, 61):
+            assert Polynomial(_cyclotomic_product({d: 1})) == cyclotomic(d)
+        expected = cyclotomic(1) * cyclotomic(1) * cyclotomic(6)
+        assert Polynomial(_cyclotomic_product({1: 2, 6: 1})) == expected
+
+    def test_division_by_one_minus_power(self):
+        assert _div_one_minus_power([1, 0, -1], 2) == [1]
+        assert _div_one_minus_power([1, 1, 0, -1, -1], 3) == [1, 1]
+        assert _div_one_minus_power([], 3) == []
+
+    def test_inexact_division_rejected(self):
+        for coeffs, m in (([1], 1), ([1, 0, 1], 2), ([1, 0, 0, 0, -1], 3), ([2, -1], 1)):
+            with pytest.raises(ArithmeticError):
+                _div_one_minus_power(coeffs, m)
+
+    @given(polynomials_st, st.integers(1, 12))
+    @settings(max_examples=60)
+    def test_division_inverts_multiplication(self, p, m):
+        coeffs = list(p._coeffs)
+        assert _div_one_minus_power(_mul_one_minus_power(coeffs, m), m) == coeffs
+
+    @given(polynomials_st, st.integers(1, 12), st.data())
+    @settings(max_examples=60)
+    def test_division_rejects_a_remainder(self, p, m, data):
+        # p * (1 - t^m) + c * t^k with k < m leaves the remainder c * t^k
+        coeffs = _mul_one_minus_power(list(p._coeffs), m) + [0] * m
+        coeffs[data.draw(st.integers(0, m - 1))] += data.draw(
+            coefficients_st.filter(bool)
+        )
+        with pytest.raises(ArithmeticError):
+            _div_one_minus_power(coeffs, m)
+
+    def test_cyclotomic_division_exact_only_on_divisors(self):
+        for m in range(1, 25):
+            for d in range(1, 25):
+                if m % d == 0:
+                    quotient = Polynomial(_div_cyclotomic(t_power_minus_one(m), d))
+                    assert quotient * cyclotomic(d) == Polynomial(t_power_minus_one(m))
+                else:
+                    with pytest.raises(ArithmeticError):
+                        _div_cyclotomic(t_power_minus_one(m), d)
+
+    @given(localization_terms_st())
+    @settings(max_examples=80)
+    def test_sum_matches_gcd_route(self, terms):
+        reference = ratfun_sum(
+            RationalFunction(
+                Polynomial(numerator),
+                math.prod((one_minus_power(m) for m in magnitudes), start=Polynomial.one()),
+            )
+            for numerator, magnitudes in terms
+        )
+        assert cyclotomic_sum(terms) == reference
+
+    def test_empty_sum_and_improper_terms(self):
+        assert cyclotomic_sum([]) == RationalFunction.zero()
+        with pytest.raises(ValueError, match="outgrows"):
+            cyclotomic_sum([([1, 2, 3], [1])])
 
 
 class TestPolyGcd:

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpkit.algebra
 import fpkit.cli
 import fpkit.genus
 import fpkit.identities
 from fpkit.cli import _format_chi_y, main
-from fpkit.data import load_data
+from fpkit.data import load_data, serialize_data
 from fpkit.genus import default_series_order
-from tests.conftest import GOLDEN, fixture_path
+from tests.conftest import GOLDEN, dim6, fixture_path, flipped
 
 S2 = str(fixture_path("s2_a3"))
 S2_A1 = str(fixture_path("s2_a1"))
@@ -498,6 +499,75 @@ def test_one_symbolic_pass_per_component(capsys, tmp_path, genus_calls, argv, fl
     else:
         # report and validate --strict need only the symbolic verdict
         assert not series_calls
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Count calls of the gcd route's entry points in fpkit.algebra."""
+    calls: Counter = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in ("poly_gcd", "ratfun_sum"):
+        monkeypatch.setattr(fpkit.algebra, name, counting(name, getattr(fpkit.algebra, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["genus"], ["report"], ["validate", "--strict"]],
+    ids=["genus", "report", "validate-strict"],
+)
+@pytest.mark.parametrize("use_dim6", [False, True], ids=["s8", "dim6-b50-flipped"])
+def test_no_polynomial_gcd(capsys, tmp_path, gcd_calls, argv, use_dim6):
+    """The genus paths reduce over cyclotomic factors, never by a gcd."""
+    path = S8
+    if use_dim6:
+        path = tmp_path / "dim6_flipped.json"
+        path.write_text(serialize_data(flipped(dim6(50))))
+    main(argv + [str(path)])
+    capsys.readouterr()
+    assert gcd_calls == Counter()
+
+
+class TestOutOfMemory:
+    """Sizes past any memory exit 2 with one line, at once."""
+
+    @pytest.fixture
+    def huge_weight_file(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"name": "huge", "dimension": 2, "fixed_points": '
+            '[{"id": "p", "sign": 1, "weights": [1000000000000000]},'
+            ' {"id": "q", "sign": 1, "weights": [-1000000000000000]}]}\n'
+        )
+        return str(path)
+
+    def _check(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["genus"], ["report"], ["validate", "--strict"]],
+        ids=["genus", "report", "validate-strict"],
+    )
+    def test_huge_weights(self, capsys, huge_weight_file, argv):
+        self._check(capsys, argv + [huge_weight_file])
+
+    def test_huge_series_order(self, capsys):
+        # 10^15 coefficients exceed any address space, so the allocation
+        # fails whatever the host's overcommit policy
+        self._check(capsys, ["genus", S8, "--series-order", str(10**15)])
 
 
 class TestParser:

@@ -8,10 +8,17 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from fpkit.algebra import Polynomial, RationalFunction
+from fpkit.algebra import (
+    Polynomial,
+    RationalFunction,
+    _exact_div,
+    one_minus_power,
+    ratfun_sum,
+)
 from fpkit.data import load_data
 from fpkit.genus import (
     GenusReport,
+    _numerator,
     chi_counting,
     chi_series,
     chi_symbolic,
@@ -20,7 +27,15 @@ from fpkit.genus import (
     signed_index_counts,
     txy_evaluate,
 )
-from tests.conftest import ALL_FIXTURES, data_st, fixture_path, make_data
+from tests.conftest import (
+    ALL_FIXTURES,
+    cyclotomic,
+    data_st,
+    dim6,
+    fixture_path,
+    flipped,
+    make_data,
+)
 
 
 class TestSignedIndexCounts:
@@ -167,15 +182,17 @@ class TestCrossRoute:
     @given(data_st())
     @settings(max_examples=50, deadline=None)
     def test_reduced_denominator_is_monic(self, data):
-        # The reduced denominator is a primitive divisor of +-prod (1 - t^|w|)
-        # in Z[t], so its leading coefficient is 1 and its constant term +-1:
-        # the integer canonical form is the monic one, and the constant term
-        # is an integer.
+        # The reduced denominator divides the common denominator L, a product
+        # of cyclotomic polynomials, so its leading coefficient is 1 and its
+        # constant term +-1: the integer canonical form is the monic one, and
+        # the constant term is an integer.
+        common = common_denominator(data)
         for i in range(data.n + 1):
             part = chi_symbolic(data, i)
             assert part.function.denominator.leading_coefficient == 1
             assert part.function.denominator.constant_term in (1, -1)
             assert type(part.constant_term) is int
+            _exact_div(common, part.function.denominator)  # raises unless exact
 
     @given(data_st(max_points=3, max_half_dim=2))
     @settings(max_examples=30, deadline=None)
@@ -183,6 +200,60 @@ class TestCrossRoute:
         counts = signed_index_counts(data)
         reversed_counts = signed_index_counts(data.reversed())
         assert reversed_counts == counts[::-1]
+
+
+def common_denominator(data):
+    """L = prod_d Phi_d^e_d, e_d the most weights of one point that d divides."""
+    exponents: dict[int, int] = {}
+    for point in data.points:
+        for d in range(1, max(abs(w) for w in point.weights) + 1):
+            count = sum(abs(w) % d == 0 for w in point.weights)
+            exponents[d] = max(exponents.get(d, 0), count)
+    common = Polynomial.one()
+    for d, exponent in exponents.items():
+        for _ in range(exponent):
+            common = common * cyclotomic(d)
+    return common
+
+
+def gcd_route(data, i):
+    """The localization sum as reduced per-point terms, Henrici-summed."""
+    terms = []
+    for point in data.points:
+        denominator = Polynomial.one()
+        for w in point.weights:
+            denominator = denominator * one_minus_power(abs(w))
+        terms.append(RationalFunction(Polynomial(_numerator(point, i)), denominator))
+    return ratfun_sum(terms)
+
+
+REFERENCE_DATA = [load_data(fixture_path(name)) for name in ALL_FIXTURES] + [
+    dim6(b) for b in (5, 50, 200)
+]
+
+
+class TestGcdReference:
+    """The cyclotomic reduction agrees with the polynomial-gcd route."""
+
+    def _check(self, data):
+        for i in range(data.n + 1):
+            part = chi_symbolic(data, i)
+            reference = gcd_route(data, i)
+            assert part.function == reference
+            assert part.constant == reference.is_constant
+            assert part.constant_term == (
+                reference.numerator.constant_term // reference.denominator.constant_term
+            )
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["plain", "flipped"])
+    @pytest.mark.parametrize("data", REFERENCE_DATA, ids=lambda data: data.name)
+    def test_named_data(self, data, flip):
+        self._check(flipped(data) if flip else data)
+
+    @given(data_st())
+    @settings(max_examples=50, deadline=None)
+    def test_random(self, data):
+        self._check(data)
 
 
 @pytest.fixture(scope="module")
