@@ -30,8 +30,8 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from typing import Iterator, NamedTuple
 
 from fpkit.data import FixedPointData, FixedPointDatum
 from fpkit.identities import evaluate_filters
@@ -58,21 +58,19 @@ FLAG_TEXT = "outside the two-fixed-point classification"
 MAX_SURVEY_PREFIXES = 2_000_000
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(namedtuple("SearchBounds", "points half_dim max_weight")):
     """Enumeration bounds: k points, half-dimension n, weights up to W."""
 
-    points: int
-    half_dim: int
-    max_weight: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.points < 1:
+    def __new__(cls, points: int, half_dim: int, max_weight: int):
+        if points < 1:
             raise ValueError("need at least one point")
-        if self.half_dim < 1:
+        if half_dim < 1:
             raise ValueError("half-dimension must be positive")
-        if self.max_weight < 1:
+        if max_weight < 1:
             raise ValueError("maximum weight magnitude must be positive")
+        return tuple.__new__(cls, (points, half_dim, max_weight))
 
     def to_dict(self) -> dict:
         return {
@@ -82,25 +80,24 @@ class SearchBounds:
         }
 
 
-@dataclass(frozen=True)
-class TrichotomyVerdict:
+class TrichotomyVerdict(namedtuple("TrichotomyVerdict", "case parameters")):
     """Classification of a two-point data set against the realizable shapes."""
 
-    case: str
-    parameters: "tuple[int, ...] | None" = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, case: str, parameters: "tuple[int, ...] | None" = None):
         expected = {
             "dim2-samesign": 1,
             "dim6-samesign": 2,
             "mirror-oppositesign": 0,
             "none": 0,
         }
-        if self.case not in expected:
-            raise ValueError(f"unknown case {self.case!r}")
-        count = len(self.parameters or ())
-        if count != expected[self.case]:
-            raise ValueError(f"case {self.case!r} takes {expected[self.case]} parameter(s)")
+        if case not in expected:
+            raise ValueError(f"unknown case {case!r}")
+        count = len(parameters or ())
+        if count != expected[case]:
+            raise ValueError(f"case {case!r} takes {expected[case]} parameter(s)")
+        return tuple.__new__(cls, (case, parameters))
 
     def to_dict(self) -> dict:
         return {
@@ -198,8 +195,7 @@ def trichotomy_match(data: FixedPointData) -> TrichotomyVerdict:
     return TrichotomyVerdict("none")
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     """Aggregated outcome of a bounded survey."""
 
     bounds: SearchBounds

@@ -25,9 +25,9 @@ optional ``isotropy_components`` object is omitted when empty.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class DataFormatError(ValueError):
@@ -37,20 +37,17 @@ class DataFormatError(ValueError):
 Partition = tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class FixedPointDatum:
+class FixedPointDatum(namedtuple("FixedPointDatum", "id sign weights")):
     """One fixed point: an id, a sign, and its sorted nonzero weights."""
 
-    id: str
-    sign: int
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise DataFormatError(f"sign must be +1 or -1 at {self.id!r}")
-        if any(w == 0 for w in self.weights):
-            raise DataFormatError(f"zero weight at {self.id!r}")
-        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
+    def __new__(cls, id: str, sign: int, weights: tuple[int, ...]):
+        if sign not in (1, -1):
+            raise DataFormatError(f"sign must be +1 or -1 at {id!r}")
+        if 0 in weights:
+            raise DataFormatError(f"zero weight at {id!r}")
+        return tuple.__new__(cls, (id, sign, tuple(sorted(weights))))
 
     @property
     def index(self) -> int:
@@ -69,30 +66,66 @@ class FixedPointDatum:
         return self.weights.count(w)
 
 
-@dataclass(frozen=True)
 class FixedPointData:
-    """A named collection of fixed points in a common dimension 2n."""
+    """A named collection of fixed points in a common dimension 2n.
 
-    name: str
-    half_dim: int
-    points: tuple[FixedPointDatum, ...]
-    isotropy_components: Mapping[int, Partition] = field(default_factory=dict)
+    Immutable and compared by value, like the tuple records of this package,
+    but deliberately not a tuple: ``len`` and iteration count and yield the
+    points, not the four fields.  Unhashable, as the isotropy components are
+    a dict.
+    """
 
-    def __post_init__(self) -> None:
-        if self.half_dim < 1:
+    def __init__(
+        self,
+        name: str,
+        half_dim: int,
+        points: tuple[FixedPointDatum, ...],
+        isotropy_components: "Mapping[int, Partition] | None" = None,
+    ) -> None:
+        if half_dim < 1:
             raise DataFormatError("dimension must be a positive even integer")
         seen: set[str] = set()
-        for point in self.points:
+        for point in points:
             if point.id in seen:
                 raise DataFormatError(f"duplicate id {point.id!r}")
             seen.add(point.id)
-            if len(point.weights) != self.half_dim:
+            if len(point.weights) != half_dim:
                 raise DataFormatError(
                     f"dimension mismatch at {point.id!r}: expected "
-                    f"{self.half_dim} weights, got {len(point.weights)}"
+                    f"{half_dim} weights, got {len(point.weights)}"
                 )
-        for modulus, partition in self.isotropy_components.items():
+        if isotropy_components is None:
+            isotropy_components = {}
+        for modulus, partition in isotropy_components.items():
             _check_partition_shape(modulus, partition, seen)
+        # Written past __setattr__, which refuses every assignment.
+        self.__dict__.update(
+            name=name,
+            half_dim=half_dim,
+            points=points,
+            isotropy_components=isotropy_components,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return (self.name, self.half_dim, self.points, self.isotropy_components)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return (
+            f"FixedPointData(name={self.name!r}, half_dim={self.half_dim!r}, "
+            f"points={self.points!r}, "
+            f"isotropy_components={self.isotropy_components!r})"
+        )
 
     @property
     def n(self) -> int:
@@ -295,8 +328,7 @@ def default_isotropy_partition(data: FixedPointData, modulus: int) -> Partition:
     return tuple(tuple(block) for block in blocks.values())
 
 
-@dataclass(frozen=True)
-class CongruenceResult:
+class CongruenceResult(NamedTuple):
     """Outcome of checking one partition for residue congruence."""
 
     passed: bool

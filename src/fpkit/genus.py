@@ -35,7 +35,7 @@ where L is the common denominator and deg L <= sum |w| over all points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from fpkit.algebra import RationalFunction, TruncatedSeries, cyclotomic_sum
 from fpkit.data import FixedPointData, FixedPointDatum
@@ -49,8 +49,7 @@ def signed_index_counts(data: FixedPointData) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     """Genus values read off the signed index counts.
 
     N[i] is the signed index count and ``symbolic_constant`` records whether
@@ -85,8 +84,7 @@ class GenusReport:
         }
 
 
-@dataclass(frozen=True)
-class SymbolicChi:
+class SymbolicChi(NamedTuple):
     """One genus component from the symbolic route.
 
     ``function`` is the reduced rational function; ``constant`` says whether
@@ -205,8 +203,7 @@ def txy_evaluate(data: FixedPointData) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class SemifreeReport:
+class SemifreeReport(NamedTuple):
     """Genus statistics specific to data whose weights are all +-1."""
 
     todd: int

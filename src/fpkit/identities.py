@@ -25,16 +25,14 @@ symbolic genus route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from fpkit.data import FixedPointData, check_congruence
 from fpkit.genus import chi_symbolic
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """Result of a single named check; witness explains the first failure."""
 
     name: str
@@ -128,8 +126,7 @@ def check_min_weight_balance(data: FixedPointData) -> CheckOutcome:
     return CheckOutcome("min_weight_index_balance", True)
 
 
-@dataclass(frozen=True)
-class AbbvValue:
+class AbbvValue(NamedTuple):
     """One localization sum: sum_p eps(p) * c1(p)^power / prod(weights)."""
 
     power: int
@@ -163,8 +160,7 @@ def check_abbv_vanishing(data: FixedPointData) -> CheckOutcome:
     return CheckOutcome("abbv_vanishing", True)
 
 
-@dataclass(frozen=True)
-class ChernAnalysis:
+class ChernAnalysis(NamedTuple):
     """Structure of the Chern map: value classes and their localization sums.
 
     ``classes`` lists (value, ids, localization sum) per distinct weight sum,

@@ -28,7 +28,8 @@ never occupies both sides of one level, so self-loops cannot arise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from fpkit.data import FixedPointData, FixedPointDatum, default_isotropy_partition
 
@@ -66,8 +67,7 @@ class BalanceError(ValueError):
         }
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A directed labeled edge; ids are sequential in construction order."""
 
     edge_id: int
@@ -83,28 +83,29 @@ def _canonical_edge_order(edge: Edge) -> tuple[str, str, int, int]:
     return (edge.source, edge.target, edge.label, edge.edge_id)
 
 
-@dataclass(frozen=True)
-class SignedMultigraph:
+class SignedMultigraph(namedtuple("SignedMultigraph", "vertices edges")):
     """A directed labeled multigraph with signed vertices and no self-loops."""
 
-    vertices: tuple[tuple[str, int], ...]
-    edges: tuple[Edge, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, vertices: tuple[tuple[str, int], ...], edges: tuple[Edge, ...]
+    ):
         seen: set[str] = set()
-        for vertex_id, sign in self.vertices:
+        for vertex_id, sign in vertices:
             if vertex_id in seen:
                 raise ValueError(f"duplicate vertex id {vertex_id!r}")
             seen.add(vertex_id)
             if sign not in (1, -1):
                 raise ValueError(f"vertex {vertex_id!r} must have sign +1 or -1")
-        for edge in self.edges:
+        for edge in edges:
             if edge.label < 1:
                 raise ValueError(f"edge {edge.edge_id} has non-positive label")
             if edge.source not in seen or edge.target not in seen:
                 raise ValueError(f"edge {edge.edge_id} references a missing vertex")
             if edge.source == edge.target:
                 raise ValueError(f"edge {edge.edge_id} is a self-loop")
+        return tuple.__new__(cls, (vertices, edges))
 
     @property
     def vertex_ids(self) -> tuple[str, ...]:
@@ -192,8 +193,7 @@ def build_multigraph(data: FixedPointData) -> SignedMultigraph:
     return SignedMultigraph(vertices, tuple(edges))
 
 
-@dataclass(frozen=True)
-class DescribesResult:
+class DescribesResult(NamedTuple):
     """Whether a graph describes a data set; witness explains a failure."""
 
     ok: bool

@@ -6,8 +6,12 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -696,3 +700,28 @@ def test_main_fuzz(tmp_path_factory, text):
             assert out.getvalue() == "", command
             assert err.getvalue().startswith("error:"), command
             assert err.getvalue().count("\n") == 1, command
+
+
+def _fresh_python(*args):
+    """Run a new interpreter with this checkout's sources on its path."""
+    src = str(Path(fpkit.cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_cold_start_imports():
+    """A CLI process loads no dataclass machinery, and its entry point runs."""
+    listing = "import sys; print(' '.join(sys.modules))"
+    before = set(_fresh_python("-c", listing).stdout.split())
+    after = set(_fresh_python("-c", "import fpkit.cli; " + listing).stdout.split())
+    assert "fpkit.cli" in after
+    assert not {"dataclasses", "inspect"} & (after - before)
+    proc = _fresh_python("-m", "fpkit.cli", "validate", S8)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] is True

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from fpkit.data import default_isotropy_partition
+from fpkit.data import FixedPointData, default_isotropy_partition
 from fpkit.multigraph import (
     BalanceError,
     Edge,
@@ -22,6 +20,10 @@ from tests.conftest import GOLDEN, make_data
 
 def edge_triples(graph):
     return sorted((e.source, e.target, e.label) for e in graph.edges)
+
+
+def with_components(data, components):
+    return FixedPointData(data.name, data.half_dim, data.points, components)
 
 
 def sign_pairs(graph):
@@ -58,7 +60,7 @@ class TestBuildFixtures:
         assert describes(build_multigraph(s8), s8)
 
     def test_explicit_partitions_override(self, s2n):
-        stored = dataclasses.replace(s2n, isotropy_components={3: (("p", "q"),)})
+        stored = with_components(s2n, {3: (("p", "q"),)})
         graph = build_multigraph(stored)
         assert describes(graph, stored)
 
@@ -128,7 +130,7 @@ class TestBalanceError:
     def test_partition_can_induce_failure(self, s2n):
         # store p and q in separate mod-2 blocks: each block is one point
         # with an unpaired weight
-        split = dataclasses.replace(s2n, isotropy_components={2: (("p",), ("q",))})
+        split = with_components(s2n, {2: (("p",), ("q",))})
         with pytest.raises(BalanceError):
             build_multigraph(split)
 
@@ -163,7 +165,7 @@ class TestDescribes:
 
     def test_witness_partition_blocks(self, s2n):
         graph = build_multigraph(s2n)
-        split = dataclasses.replace(s2n, isotropy_components={2: (("p",), ("q",))})
+        split = with_components(s2n, {2: (("p",), ("q",))})
         result = describes(graph, split)
         assert not result
         assert result.witness["reason"] == "edge endpoints in different isotropy blocks"
