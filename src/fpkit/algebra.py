@@ -14,11 +14,12 @@ all three layers hold Python ints, and their constructors raise
 * `TruncatedSeries` — power-series coefficients through a fixed order K.
 
 `cyclotomic_sum` reduces a sum of terms J / prod (1 - t^m), the shape of
-every genus localization sum, over one common denominator built from
+every genus localization sum, over one common denominator L built from
 cyclotomic polynomials Phi_d, and divides the numerator by each Phi_d while
-the division is exact.  It takes no polynomial gcd: every pass is a linear
-sweep over a coefficient list, and the reduced denominators it returns are
-products of cyclotomic polynomials.
+the division is exact, testing it first on the numerator folded mod
+t^d - 1.  It takes no polynomial gcd: every pass is a linear sweep over a
+coefficient list, and the reduced denominators it returns are products of
+cyclotomic polynomials.
 
 The gcd code stays as the reference the tests compare against, and because
 the benchmark's tracer (``perfbench/tracing.py``) wraps `poly_gcd` and
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from typing import Iterable
 
 #: Degree of the zero polynomial.
@@ -280,11 +281,9 @@ def _div_one_minus_power(coeffs: list[int], m: int) -> list[int]:
         for r in range(m):
             sums[r::m] = accumulate(sums[r::m])
     else:
-        # few long blocks: each block adds the block before it
-        for start in range(m, size, m):
-            sums[start : start + m] = [
-                a + b for a, b in zip(sums[start : start + m], sums[start - m : start])
-            ]
+        # many short ones: one loop, faster here than adding m-term blocks
+        for k in range(m, size):
+            sums[k] += sums[k - m]
     quotient = max(size - m, 0)
     if any(sums[quotient:]):
         raise ArithmeticError("expected an exact division by 1 - t^m over Z")
@@ -292,7 +291,7 @@ def _div_one_minus_power(coeffs: list[int], m: int) -> list[int]:
     return sums
 
 
-# Both caches pay because every component of every command asks again about
+# Both caches pay because every plan, fold test and product asks again about
 # the same few weight magnitudes and their divisors.
 @functools.lru_cache(maxsize=1024)
 def _divisors(m: int) -> tuple[int, ...]:
@@ -358,29 +357,28 @@ def _cyclotomic_product(exponents: dict[int, int]) -> list[int]:
     return [-c for c in coeffs] if exponents.get(1, 0) % 2 else coeffs
 
 
-def cyclotomic_sum(terms: Iterable[tuple[list[int], list[int]]]) -> "RationalFunction":
-    """sum J / prod_m (1 - t^m) over (J, magnitudes) pairs, reduced, no gcd.
+def _cyclotomic_divides(coeffs: list[int], d: int) -> bool:
+    """Whether Phi_d divides coeffs.  Phi_d divides t^d - 1, so it is tested
+    on coeffs mod t^d - 1: d sums over the residue classes of the exponents."""
+    try:
+        _div_cyclotomic([sum(coeffs[k::d]) for k in range(d)], d)
+    except ArithmeticError:
+        return False
+    return True
 
-    Each J is an ascending coefficient list of degree at most the sum of its
-    magnitudes (a longer one raises ``ValueError``), as every localization
-    numerator is.
 
-    With c_d the number of magnitudes of one term that d divides, and e_d its
-    maximum over the terms, L = prod_d Phi_d^e_d is a common denominator.  The
-    numerator N = sum J * L / prod (1 - t^m) is divided by each Phi_d while
-    the division is exact, at most e_d times.  What is left over the
-    remaining product of distinct irreducible Phi_d is coprime, and that
-    product is monic, so the pair is the canonical form.  Each step costs
-    O(deg L) integer additions per pass, and deg L <= the sum of all m.
+def cyclotomic_plan(magnitude_lists: Iterable[Iterable[int]]) -> tuple:
+    """(e_d, L, [L / D_p]) for sums of J_p / D_p, D_p = prod_{m in list p} (1 - t^m).
+
+    With c_d the number of magnitudes of one list that d divides, and e_d its
+    maximum over the lists, L = prod_d Phi_d^e_d is a common denominator, for
+    any numerators.  O(deg L) additions per magnitude; deg L <= sum of all m.
     """
-    terms = [(numerator, magnitudes) for numerator, magnitudes in terms]
-    if any(len(numerator) > 1 + sum(magnitudes) for numerator, magnitudes in terms):
-        raise ValueError("a numerator outgrows its denominator")
-    # deg N <= deg L <= sum of all m.  Sizing N first also makes absurd
-    # magnitudes fail fast, before any divisor search.
-    total = [0] * (1 + sum(sum(magnitudes) for _, magnitudes in terms))
+    magnitude_lists = [list(magnitudes) for magnitudes in magnitude_lists]
+    # Sizing L first makes absurd magnitudes fail fast, before any divisor search.
+    [0] * (1 + sum(map(sum, magnitude_lists)))
     exponents: dict[int, int] = {}
-    for _, magnitudes in terms:
+    for magnitudes in magnitude_lists:
         counts: dict[int, int] = {}
         for m in magnitudes:
             for d in _divisors(m):
@@ -389,15 +387,34 @@ def cyclotomic_sum(terms: Iterable[tuple[list[int], list[int]]]) -> "RationalFun
             if count > exponents.get(d, 0):
                 exponents[d] = count
     common = _cyclotomic_product(exponents)
-    del total[len(common) :]
-    for numerator, magnitudes in terms:
+    quotients: list[list[int]] = []
+    for magnitudes in magnitude_lists:
         quotient = common
         for m in magnitudes:
             quotient = _div_one_minus_power(quotient, m)
-        for shift, c in enumerate(numerator):
-            if c:
-                end = shift + len(quotient)
-                total[shift:end] = [a + c * b for a, b in zip(total[shift:end], quotient)]
+        quotients.append(quotient)
+    return exponents, common, quotients
+
+
+def cyclotomic_reduce(plan: tuple, numerators: Iterable[list[int]]) -> "RationalFunction":
+    """sum_p J_p / D_p over a `cyclotomic_plan`, reduced, no gcd.
+
+    Each J_p has degree at most deg D_p (else ``ValueError``), as every
+    localization numerator has.  N = sum_p J_p * L / D_p, O(deg L) per nonzero
+    coefficient of a J_p, is divided by each Phi_d while that is exact, at
+    most e_d times; each test is O(d) per pass on N folded mod t^d - 1.  Over
+    the remaining product of distinct irreducible Phi_d, which is monic, N is
+    coprime: the canonical form.
+    """
+    exponents, common, quotients = plan
+    total = [0] * len(common)
+    for numerator, quotient in zip(numerators, quotients, strict=True):
+        # len(quotient) = 1 + deg L - deg D_p
+        if len(numerator) + len(quotient) > len(common) + 1:
+            raise ValueError("a numerator outgrows its denominator")
+        for shift in compress(count(), numerator):
+            c, end = numerator[shift], shift + len(quotient)
+            total[shift:end] = [a + c * b for a, b in zip(total[shift:end], quotient)]
     while total and total[-1] == 0:
         total.pop()
     if not total or total == [total[-1] * c for c in common]:
@@ -405,16 +422,21 @@ def cyclotomic_sum(terms: Iterable[tuple[list[int], list[int]]]) -> "RationalFun
         return RationalFunction._from_coprime(Polynomial(total[-1:]), Polynomial.one())
     remaining: dict[int, int] = {}
     for d, exponent in exponents.items():
-        while exponent:
-            try:
-                total = _div_cyclotomic(total, d)
-            except ArithmeticError:
-                break
+        while exponent and _cyclotomic_divides(total, d):
+            total = _div_cyclotomic(total, d)
             exponent -= 1
         remaining[d] = exponent
     return RationalFunction._from_coprime(
         Polynomial(total), Polynomial(_cyclotomic_product(remaining))
     )
+
+
+def cyclotomic_sum(terms: Iterable[tuple[list[int], list[int]]]) -> "RationalFunction":
+    """sum J / prod_m (1 - t^m) over (J, magnitudes) pairs, reduced, no gcd:
+    `cyclotomic_reduce` over the `cyclotomic_plan` of the magnitudes."""
+    terms = list(terms)
+    plan = cyclotomic_plan(magnitudes for _, magnitudes in terms)
+    return cyclotomic_reduce(plan, [numerator for numerator, _ in terms])
 
 
 class RationalFunction:

@@ -146,8 +146,36 @@ def build_parser() -> argparse.ArgumentParser:
 # -- rendering -------------------------------------------------------------
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, ``newline`` indenting to
+    the enclosing level.  Lists of only str or only int items, such as a genus
+    series, are one C-level join, where the indenting encoder walks them in
+    Python; other types and dicts with other keys go to ``json.dumps``."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:
+            items = map(_encode_str if kinds == {str} else int.__repr__, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        items = [_encode_str(k) + ": " + _json_text(item, inner) for k, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _format_chi_y(chi: "list[int] | tuple[int, ...]") -> str:
@@ -222,7 +250,7 @@ def cmd_genus(args: argparse.Namespace) -> int:
                 "symbolic": str(symbolic.function),
                 "constant": symbolic.constant,
                 "constant_term": str(symbolic.constant_term),
-                "series": [str(c) for c in series.coefficients()],
+                "series": list(map(str, series.coefficients())),
             }
         )
     payload = {
@@ -306,7 +334,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     bounds = SearchBounds(args.points, args.dim // 2, args.max_weight)
     report = survey(bounds)
     payload = report.to_dict()
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -18,26 +18,31 @@ Three computations are kept independent so they can certify each other:
 
 * the counting route reads N_i straight off the signs and indices;
 * the symbolic route reduces the sum of rational functions over one
-  cyclotomic common denominator (`chi_symbolic`, through
-  `fpkit.algebra.cyclotomic_sum`, with no polynomial gcd) and reads the
+  cyclotomic common denominator L (`chi_symbolic`, through
+  `fpkit.algebra.cyclotomic_reduce`, with no polynomial gcd) and reads the
   constant term off the reduced function;
 * the series route (`chi_series`) expands every term as an integer power
-  series and never forms the reduced function.
+  series and never forms L or the reduced function.
 
 Both non-counting routes run on Python ints: every J_p and every factor
 1 - t^|w| has integer coefficients, and the reduced denominator is a product
 of cyclotomic polynomials dividing +-prod (1 - t^|w|), hence monic with
-constant term +-1, so the symbolic constant term is an integer too.  The
-symbolic route costs O(deg L) integer additions per cyclotomic factor step,
-where L is the common denominator and deg L <= sum |w| over all points.
+constant term +-1, so the symbolic constant term is an integer too.
+
+Each data object gets one pass for all i: J_p for every i and L with each
+L / D_p, in O(k * n * S) for k points and S = sum |w| >= deg L.  Symbolic
+component i then costs O(C(n, i) * k * S) for its numerator sum plus, per
+Phi_d, an O(S) fold in C and O(d) per test pass; series component i costs
+O(k * n * K) at order K.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
-from fpkit.algebra import RationalFunction, TruncatedSeries, cyclotomic_sum
+from fpkit.algebra import RationalFunction, TruncatedSeries, cyclotomic_plan, cyclotomic_reduce
 from fpkit.data import FixedPointData, FixedPointDatum
 
 
@@ -97,8 +102,9 @@ class SymbolicChi(NamedTuple):
     constant_term: int
 
 
-def _numerator(point: FixedPointDatum, i: int) -> list[int]:
-    """Integer coefficients of +-J_p, the numerator of one localization term.
+def _point_numerators(point: FixedPointDatum) -> list[list[int]]:
+    """Integer coefficients of +-J_p, one point's localization numerator, for
+    each genus component i = 0..n.
 
     Multiplying the term by prod_{w<0} (-t^|w|)/(-t^|w|) clears all negative
     exponents: J_p is t^(sum of |negative weights|) times sigma_i at the weight
@@ -107,33 +113,43 @@ def _numerator(point: FixedPointDatum, i: int) -> list[int]:
     shift = sum(-w for w in point.weights if w < 0)
     # Elementary symmetric polynomials in the monomials t^w, one weight at a
     # time, as exponent -> coefficient maps (negative until shifted).
-    elementary: list[dict[int, int]] = [{} for _ in range(i + 1)]
+    elementary: list[dict[int, int]] = [{} for _ in range(len(point.weights) + 1)]
     elementary[0][0] = point.sign * (-1 if point.index % 2 else 1)
-    for w in point.weights:
-        for k in range(i, 0, -1):
-            lower = elementary[k - 1]
-            if not lower:
-                continue
+    for count, w in enumerate(point.weights, 1):
+        for k in range(count, 0, -1):
             target = elementary[k]
-            for exponent, coefficient in lower.items():
+            for exponent, coefficient in elementary[k - 1].items():
                 key = exponent + w
                 target[key] = target.get(key, 0) + coefficient
-    top = elementary[i]
-    # Allocated whole, so that an absurd weight fails at once with
-    # MemoryError instead of growing a list until memory runs out.
-    coefficients = [0] * (max(top) + shift + 1)
-    for exponent, coefficient in top.items():
-        coefficients[exponent + shift] = coefficient
-    return coefficients
+    # allocated whole, so that an absurd weight fails at once with MemoryError
+    numerators = [[0] * (max(sigma) + shift + 1) for sigma in elementary]
+    for coefficients, sigma in zip(numerators, elementary):
+        for exponent, coefficient in sigma.items():
+            coefficients[exponent + shift] = coefficient
+    return numerators
+
+
+#: The running command's data object, its numerators [point][i] and its plan,
+#: matched by identity: the slot holds the object, so no later one can match
+#: it, and each command loads its own, so nothing carries over between them.
+_last: list = [None, None, None]
+
+
+def _localization(data: FixedPointData, plan: bool) -> tuple:
+    """(numerators, plan) of data, each built once for all components."""
+    if _last[0] is not data:
+        _last[:] = data, [_point_numerators(point) for point in data.points], None
+    if plan and _last[2] is None:
+        _last[2] = cyclotomic_plan([abs(w) for w in point.weights] for point in data.points)
+    return _last[1], _last[2]
 
 
 def chi_symbolic(data: FixedPointData, i: int) -> SymbolicChi:
     """The i-th genus component as an exact reduced rational function."""
     if not 0 <= i <= data.n:
         raise ValueError(f"genus component index must lie in 0..{data.n}")
-    total = cyclotomic_sum(
-        (_numerator(point, i), [abs(w) for w in point.weights]) for point in data.points
-    )
+    numerators, plan = _localization(data, plan=True)
+    total = cyclotomic_reduce(plan, [point_numerators[i] for point_numerators in numerators])
     # The reduced denominator is a product of cyclotomic polynomials, so its
     # value at 0 is +-1 and the division is exact.
     constant_term = total.numerator.constant_term // total.denominator.constant_term
@@ -143,22 +159,27 @@ def chi_symbolic(data: FixedPointData, i: int) -> SymbolicChi:
 def chi_series(data: FixedPointData, i: int, order: int) -> TruncatedSeries:
     """The i-th genus component expanded as a truncated series.
 
-    Every term J_p / prod (1 - t^|w|) is expanded in Python ints: dividing by
-    one factor 1 - t^m is the running sum c[k] += c[k - m], k = m..order.
-    This route never forms the reduced rational function, so it is the
-    independent cross-check for `chi_symbolic`.
+    Every term J_p / prod (1 - t^|w|) is expanded in Python ints, one factor
+    1 - t^m at a time.  This route never forms L or the reduced function, so
+    it is the independent cross-check for `chi_symbolic`.
     """
     if not 0 <= i <= data.n:
         raise ValueError(f"genus component index must lie in 0..{data.n}")
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    total = [0] * (order + 1)
-    for point in data.points:
-        term = (_numerator(point, i) + [0] * (order + 1))[: order + 1]
-        for w in point.weights:
-            m = abs(w)
-            for k in range(m, order + 1):
-                term[k] += term[k - m]
+    size = order + 1
+    total = [0] * size
+    for point, numerators in zip(data.points, _localization(data, plan=False)[0]):
+        term = (numerators[i] + [0] * size)[:size]
+        for m in map(abs, point.weights):
+            # c[k] += c[k - m], by `_div_one_minus_power`'s rule: a C-level
+            # running sum per residue class when m is small, else one loop
+            if m * m < size:
+                for r in range(m):
+                    term[r::m] = accumulate(term[r::m])
+            else:
+                for k in range(m, size):
+                    term[k] += term[k - m]
         total = [a + b for a, b in zip(total, term)]
     return TruncatedSeries(total)
 

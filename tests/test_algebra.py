@@ -14,12 +14,15 @@ from fpkit.algebra import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    _cyclotomic_divides,
     _cyclotomic_product,
     _div_cyclotomic,
     _div_one_minus_power,
     _divisors,
     _exact_div,
     _mul_one_minus_power,
+    cyclotomic_plan,
+    cyclotomic_reduce,
     cyclotomic_sum,
     geometric_rewrite,
     one_minus_power,
@@ -169,7 +172,56 @@ def localization_terms_st(draw):
     return terms
 
 
+def gcd_reference(terms):
+    """sum J / prod (1 - t^m) over (J, magnitudes) pairs, by the gcd route."""
+    return ratfun_sum(
+        RationalFunction(
+            Polynomial(numerator),
+            math.prod((one_minus_power(m) for m in magnitudes), start=Polynomial.one()),
+        )
+        for numerator, magnitudes in terms
+    )
+
+
+@st.composite
+def cyclotomic_trial_st(draw):
+    """(coefficients, d): some multiplied by Phi_d^k, some shorter than phi(d)."""
+    d = draw(st.integers(1, 60))
+    size = draw(st.sampled_from([3, 12, 70]))
+    base = Polynomial(draw(st.lists(coefficients_st, max_size=size)))
+    for _ in range(draw(st.integers(0, 2))):
+        base = base * cyclotomic(d)
+    if draw(st.booleans()):
+        base = base * cyclotomic(draw(st.integers(1, 60)))
+    coeffs = list(base._coeffs) + [0] * draw(st.integers(0, 2))
+    return coeffs, d
+
+
 class TestCyclotomic:
+    @given(cyclotomic_trial_st())
+    @settings(max_examples=300)
+    def test_fold_test_agrees_with_full_division(self, trial):
+        coeffs, d = trial
+        try:
+            _div_cyclotomic(coeffs, d)
+        except ArithmeticError:
+            divides = False
+        else:
+            divides = True
+        assert _cyclotomic_divides(coeffs, d) == divides
+
+    def test_fold_test_hand_cases(self):
+        assert _cyclotomic_divides([], 7)
+        assert _cyclotomic_divides([0, 0], 1)
+        assert not _cyclotomic_divides([1], 1)
+        assert _cyclotomic_divides(list(cyclotomic(12)._coeffs), 12)
+        # shorter than phi(12) = 4, so no multiple of Phi_12
+        assert not _cyclotomic_divides([1, 0, 1], 12)
+        # t^12 - 1 is divisible by Phi_12 but folds to 0 mod t^12 - 1 ...
+        assert _cyclotomic_divides(t_power_minus_one(12), 12)
+        # ... while t^5 - 1 folds to itself and is not
+        assert not _cyclotomic_divides(t_power_minus_one(5), 12)
+
     def test_divisors(self):
         for m in range(1, 200):
             assert _divisors(m) == tuple(d for d in range(1, m + 1) if m % d == 0)
@@ -226,14 +278,21 @@ class TestCyclotomic:
     @given(localization_terms_st())
     @settings(max_examples=80)
     def test_sum_matches_gcd_route(self, terms):
-        reference = ratfun_sum(
-            RationalFunction(
-                Polynomial(numerator),
-                math.prod((one_minus_power(m) for m in magnitudes), start=Polynomial.one()),
-            )
-            for numerator, magnitudes in terms
-        )
-        assert cyclotomic_sum(terms) == reference
+        assert cyclotomic_sum(terms) == gcd_reference(terms)
+
+    @given(
+        localization_terms_st(), st.lists(st.lists(coefficients_st, max_size=2), max_size=3)
+    )
+    @settings(max_examples=60)
+    def test_one_plan_serves_every_numerator_list(self, terms, others):
+        # every magnitude list sums to at least 1, so 2 coefficients always fit
+        magnitude_lists = [magnitudes for _, magnitudes in terms]
+        plan = cyclotomic_plan(magnitude_lists)
+        for numerators in [[numerator for numerator, _ in terms]] + [
+            [other] * len(terms) for other in others
+        ]:
+            expected = gcd_reference(list(zip(numerators, magnitude_lists)))
+            assert cyclotomic_reduce(plan, numerators) == expected
 
     def test_empty_sum_and_improper_terms(self):
         assert cyclotomic_sum([]) == RationalFunction.zero()

@@ -21,7 +21,7 @@ import fpkit.algebra
 import fpkit.cli
 import fpkit.genus
 import fpkit.identities
-from fpkit.cli import _format_chi_y, main
+from fpkit.cli import _format_chi_y, _json_text, main
 from fpkit.data import load_data, serialize_data
 from fpkit.genus import default_series_order
 from tests.conftest import GOLDEN, dim6, fixture_path, flipped
@@ -476,25 +476,48 @@ def genus_calls(monkeypatch):
     return symbolic, series
 
 
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Count the common-denominator plans the genus layer builds."""
+    builds = []
+    original = fpkit.genus.cyclotomic_plan
+
+    def counted(magnitude_lists):
+        builds.append(1)
+        return original(magnitude_lists)
+
+    monkeypatch.setattr(fpkit.genus, "cyclotomic_plan", counted)
+    return builds
+
+
+def s8_path(tmp_path, flipped):
+    """s8, or s8 with equal signs on identical weights: no constant component."""
+    if not flipped:
+        return S8
+    doc = json.loads(fixture_path("s8").read_text())
+    doc["fixed_points"][1]["sign"] = 1
+    path = tmp_path / "s8_flipped.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize(
     "argv",
     [["genus"], ["report"], ["validate", "--strict"]],
     ids=["genus", "report", "validate-strict"],
 )
 @pytest.mark.parametrize("flipped", [False, True], ids=["s8", "s8-flipped"])
-def test_one_symbolic_pass_per_component(capsys, tmp_path, genus_calls, argv, flipped):
-    path = S8
-    if flipped:
-        # equal signs on identical weights: no component is constant
-        doc = json.loads(fixture_path("s8").read_text())
-        doc["fixed_points"][1]["sign"] = 1
-        path = tmp_path / "s8_flipped.json"
-        path.write_text(json.dumps(doc))
+def test_one_symbolic_pass_per_component(
+    capsys, tmp_path, genus_calls, plan_builds, argv, flipped
+):
+    path = s8_path(tmp_path, flipped)
     main(argv + [str(path)])
     capsys.readouterr()
     symbolic_calls, series_calls = genus_calls
     assert symbolic_calls
     assert max(symbolic_calls.values()) == 1
+    # the common denominator is built once for all components
+    assert len(plan_builds) == 1
     if argv == ["genus"]:
         # one series pass per component, at the default order
         data = load_data(path)
@@ -503,6 +526,18 @@ def test_one_symbolic_pass_per_component(capsys, tmp_path, genus_calls, argv, fl
     else:
         # report and validate --strict need only the symbolic verdict
         assert not series_calls
+    # the next command loads its own data and builds its own plan
+    main(argv + [str(path)])
+    capsys.readouterr()
+    assert len(plan_builds) == 2
+
+
+@pytest.mark.parametrize("flipped", [False, True], ids=["s8", "s8-flipped"])
+def test_series_route_builds_no_plan(tmp_path, plan_builds, flipped):
+    data = load_data(s8_path(tmp_path, flipped))
+    for i in range(data.n + 1):
+        fpkit.genus.chi_series(data, i, default_series_order(data))
+    assert not plan_builds
 
 
 @pytest.fixture
@@ -619,6 +654,46 @@ class TestParser:
         main(["genus", S2])
         capsys.readouterr()
         assert len(built) <= 1
+
+
+_json_scalars_st = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+    | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f", "\u00e9\u2603\U0001f600"])
+)
+_json_values_st = st.recursive(
+    _json_scalars_st
+    | st.lists(st.integers(), max_size=5)
+    | st.lists(st.text(max_size=5), max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_json_values_st)
+@settings(max_examples=300, deadline=None)
+def test_json_text_matches_indented_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        (1, "x", (2, 3)),
+        {"x": 1.5, "y": [0.25, float("inf")], "z": {1: "int key", None: [True]}},
+        [True, False, 1, "1", None],
+        {"\u00e9\"\\\n": ["\x7f", "\u2028"]},
+    ],
+)
+def test_json_text_edge_cases(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 class TestChiYFormatter:

@@ -7,18 +7,20 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpkit.algebra import (
     Polynomial,
     RationalFunction,
     _exact_div,
+    cyclotomic_sum,
     one_minus_power,
     ratfun_sum,
 )
+from fpkit.classify import random_graph_data
 from fpkit.data import load_data
 from fpkit.genus import (
     GenusReport,
-    _numerator,
     chi_counting,
     chi_series,
     chi_symbolic,
@@ -216,6 +218,20 @@ def common_denominator(data):
     return common
 
 
+def brute_numerator(point, i):
+    """+-J_p with sigma_i summed over every i-subset of the weights.
+
+    Each subset contributes t^(its weight sum + sum of |negative weights|),
+    with sign eps(p) * (-1)^(number of negative weights).
+    """
+    shift = sum(-w for w in point.weights if w < 0)
+    sign = point.sign * (-1) ** sum(w < 0 for w in point.weights)
+    coefficients = [0] * (1 + sum(abs(w) for w in point.weights))
+    for subset in itertools.combinations(point.weights, i):
+        coefficients[sum(subset) + shift] += sign
+    return coefficients
+
+
 def gcd_route(data, i):
     """The localization sum as reduced per-point terms, Henrici-summed."""
     terms = []
@@ -223,7 +239,7 @@ def gcd_route(data, i):
         denominator = Polynomial.one()
         for w in point.weights:
             denominator = denominator * one_minus_power(abs(w))
-        terms.append(RationalFunction(Polynomial(_numerator(point, i)), denominator))
+        terms.append(RationalFunction(Polynomial(brute_numerator(point, i)), denominator))
     return ratfun_sum(terms)
 
 
@@ -253,6 +269,24 @@ class TestGcdReference:
     @given(data_st())
     @settings(max_examples=50, deadline=None)
     def test_random(self, data):
+        self._check(data)
+
+    @given(
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 1), (4, 2), (5, 2)]),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_flipped_graph_data(self, seed, shape, draw):
+        """Realizable data with one sign flipped: non-constant components."""
+        data = random_graph_data(seed, *shape, 5)
+        data = flipped(data, draw.draw(st.integers(0, len(data.points) - 1)))
+        for i in range(data.n + 1):
+            terms = [
+                (brute_numerator(point, i), [abs(w) for w in point.weights])
+                for point in data.points
+            ]
+            assert cyclotomic_sum(terms) == gcd_route(data, i)
         self._check(data)
 
 
