@@ -19,9 +19,9 @@ the unbalanced candidates: it joins (k-1)-point prefixes against an index of
 point specs by balance vector, and counts the rest as ``weight_balance``
 rejections.
 
-`random_graph_data` produces seed-deterministic pseudo-random data as read
-off a random n-regular signed multigraph, for property tests and the
-round-trip check of the graph builder.
+`random_graph_data` produces seed-deterministic realizable data for
+property tests and the benchmark; `random_multigraph` is its graph, a random
+n-regular signed multigraph.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple
 
 from fpkit.data import FixedPointData, FixedPointDatum
 from fpkit.identities import evaluate_filters
-from fpkit.multigraph import SignedMultigraph, build_multigraph, induced_data
+from fpkit.multigraph import SignedMultigraph, build_multigraph
 from fpkit.parallel import parallel_map
 
 #: Checker names in evaluation order, used to key rejection tallies.
@@ -297,14 +297,14 @@ def survey(bounds: SearchBounds) -> SurveyReport:
 
 # -- random graph data -----------------------------------------------------
 #
-# Random graphs are sampled from the realizable family: data is composed out
-# of building blocks that actual manifolds exhibit (mirror pairs, rotation
+# Random data is sampled from the realizable family: it is composed out of
+# building blocks that actual manifolds exhibit (mirror pairs, rotation
 # spheres, the dim-6 two-point shape, projective-space weight systems) glued
-# by disjoint union and cartesian product, and the graph is the canonical
-# matching of that data.  Realizable data always satisfies the per-level slot
-# balance, so the induced_data -> build_multigraph -> describes round trip
-# closes by construction; a uniform configuration-model draw would almost
-# never satisfy it beyond the smallest shapes.
+# by disjoint union and cartesian product.  Realizable data balances its
+# slots on each isotropy component, hence on each residue block (a union of
+# components), so `build_multigraph` always succeeds on it; tests pin that and
+# the graph round trip.  A uniform configuration-model draw would almost never
+# balance beyond the smallest shapes.
 
 #: (sign, sorted weights) for one point; a block is a tuple of such specs.
 _Block = tuple[tuple[int, tuple[int, ...]], ...]
@@ -433,17 +433,14 @@ def _compose(
     return _product(left, right)
 
 
-def random_multigraph(
+def random_graph_data(
     seed: int, points: int, half_dim: int, max_label: int
-) -> SignedMultigraph:
-    """Seed-deterministic random n-regular signed multigraph without self-loops.
+) -> FixedPointData:
+    """Seed-deterministic realizable data, composed as the comment above says.
 
-    The graph is the matching of a randomly composed realizable data set, so
-    its induced data always rebuilds (see the module comment).  Raises
-    ``ValueError`` for impossible shapes: points * half_dim odd, a single
-    vertex, or no realizable composition within the label bound (for
-    example 3 points in dimension 4 need labels up to at least 2, and
-    5 points in dimension 8 need labels up to at least 4).
+    Raises ``ValueError`` for impossible shapes: points * half_dim odd, a
+    single vertex, or no composition within the label bound (3 points in
+    dimension 4 need labels up to 2, 5 points in dimension 8 up to 4).
     """
     if half_dim < 1:
         raise ValueError("half-dimension must be positive")
@@ -458,25 +455,18 @@ def random_multigraph(
     rng = random.Random(seed)
     specs = list(_compose(rng, points, half_dim, max_label))
     rng.shuffle(specs)
-    data = FixedPointData(
-        "",
+    return FixedPointData(
+        f"random-k{points}-n{half_dim}-w{max_label}-seed{seed}",
         half_dim,
         tuple(
             FixedPointDatum(f"p{index + 1}", sign, weights)
             for index, (sign, weights) in enumerate(specs)
         ),
     )
-    return build_multigraph(data)
 
 
-def random_graph_data(
+def random_multigraph(
     seed: int, points: int, half_dim: int, max_label: int
-) -> FixedPointData:
-    """Fixed-point data read off a seed-deterministic random regular graph."""
-    graph = random_multigraph(seed, points, half_dim, max_label)
-    data = induced_data(
-        graph,
-        half_dim,
-        name=f"random-k{points}-n{half_dim}-w{max_label}-seed{seed}",
-    )
-    return data
+) -> SignedMultigraph:
+    """The graph of `random_graph_data`, an n-regular signed multigraph."""
+    return build_multigraph(random_graph_data(seed, points, half_dim, max_label))

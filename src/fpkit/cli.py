@@ -17,7 +17,7 @@ import sys
 from typing import Callable
 
 from fpkit.classify import SearchBounds, random_graph_data, survey
-from fpkit.data import FixedPointData, load_data, serialize_data
+from fpkit.data import FixedPointData, _json_text, load_data, serialize_data
 from fpkit.genus import (
     chi_series,
     chi_symbolic,
@@ -144,34 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- rendering -------------------------------------------------------------
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_text(value: object, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` byte for byte, ``newline`` indenting to
-    the enclosing level.  Lists of only str or only int items, such as a genus
-    series, are one C-level join, where the indenting encoder walks them in
-    Python; other types and dicts with other keys go to ``json.dumps``."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)) and value:
-        kinds = set(map(type, value))
-        if kinds == {str} or kinds == {int}:
-            items = map(_encode_str if kinds == {str} else int.__repr__, value)
-        else:
-            items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict) and value and all(type(key) is str for key in value):
-        items = [_encode_str(k) + ": " + _json_text(item, inner) for k, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _emit_json(payload: dict) -> None:

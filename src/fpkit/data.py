@@ -283,6 +283,34 @@ def load_data(path) -> FixedPointData:
         return parse_data(handle.read())
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, ``newline`` indenting to
+    the enclosing level.  Lists of only str or only int items, such as a genus
+    series, are one C-level join, where the indenting encoder walks them in
+    Python; other types and dicts with other keys go to ``json.dumps``."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:
+            items = map(_encode_str if kinds == {str} else int.__repr__, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        items = [_encode_str(k) + ": " + _json_text(item, inner) for k, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
 def serialize_data(data: FixedPointData) -> str:
     """Canonical JSON serialization (stable bytes for equal data)."""
     doc: dict = {
@@ -298,7 +326,7 @@ def serialize_data(data: FixedPointData) -> str:
             str(modulus): [list(block) for block in data.isotropy_components[modulus]]
             for modulus in sorted(data.isotropy_components)
         }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"
 
 
 # -- isotropy partitions ---------------------------------------------------

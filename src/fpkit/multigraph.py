@@ -142,55 +142,44 @@ def _f_index(point: FixedPointDatum, modulus: int) -> int:
     return sum(1 for w in point.weights if w < 0 and w % modulus == 0)
 
 
+def _block_ordinals(partition: tuple) -> dict[str, int]:
+    """Point id -> ordinal of its block in the partition."""
+    return {pid: ordinal for ordinal, block in enumerate(partition) for pid in block}
+
+
 def build_multigraph(data: FixedPointData) -> SignedMultigraph:
     """Construct a describing multigraph by the per-level matching.
 
-    Each modulus is matched within the blocks of its isotropy partition: the
-    one stored in the data, else the residue classes.  Raises
-    :class:`BalanceError` when some (modulus, block, level) has unequal slot
-    sides — the data cannot be realized with those partitions.
+    Each weight slot is filed once under (modulus, block ordinal, level), and
+    the keys are matched in sorted order.  Raises :class:`BalanceError` at the
+    first key with unequal slot sides: the data cannot be realized with those
+    partitions.
     """
-    vertices = tuple((p.id, p.sign) for p in data.points)
+    partitions = {
+        modulus: default_isotropy_partition(data, modulus)
+        for modulus in {abs(w) for p in data.points for w in p.weights}
+    }
+    block_of = {m: _block_ordinals(partition) for m, partition in partitions.items()}
+    # key -> (source slots, target slots); a slot is (point id, position in
+    # the point's sorted weights), so ties sort stably
+    sides: dict[tuple[int, int, int], tuple[list, list]] = {}
+    for point in data.points:
+        for slot_index, w in enumerate(point.weights):
+            modulus = abs(w)
+            level = _f_index(point, modulus) - (w < 0)
+            key = (modulus, block_of[modulus][point.id], level)
+            on_target = (w > 0) != (point.sign == 1)
+            sides.setdefault(key, ([], []))[on_target].append((point.id, slot_index))
     edges: list[Edge] = []
-    edge_id = 0
-    for modulus in sorted({abs(w) for p in data.points for w in p.weights}):
-        for block in default_isotropy_partition(data, modulus):
-            members = [data.point(pid) for pid in block]
-            # slots are (point id, slot index), the index being the weight's
-            # position in the point's sorted weights, so ties sort stably
-            sources: dict[int, list[tuple[str, int]]] = {}
-            targets: dict[int, list[tuple[str, int]]] = {}
-            for member in members:
-                f_index = _f_index(member, modulus)
-                for slot_index, w in enumerate(member.weights):
-                    if w == modulus:
-                        onto = sources if member.sign == 1 else targets
-                        level = f_index
-                    elif w == -modulus:
-                        onto = sources if member.sign == -1 else targets
-                        level = f_index - 1
-                    else:
-                        continue
-                    onto.setdefault(level, []).append((member.id, slot_index))
-            for level in sorted(set(sources) | set(targets)):
-                source_side = sorted(sources.get(level, []))
-                target_side = sorted(targets.get(level, []))
-                if len(source_side) != len(target_side):
-                    raise BalanceError(
-                        modulus,
-                        tuple(block),
-                        level,
-                        len(source_side),
-                        len(target_side),
-                    )
-                for (src, _), (dst, _) in zip(source_side, target_side):
-                    # A point's slots on the two sides of a round always sit
-                    # at different levels, so this cannot pair a point with
-                    # itself.
-                    assert src != dst
-                    edges.append(Edge(edge_id, src, dst, modulus))
-                    edge_id += 1
-    return SignedMultigraph(vertices, tuple(edges))
+    for key in sorted(sides):
+        source_side, target_side = map(sorted, sides[key])
+        if len(source_side) != len(target_side):
+            modulus, ordinal, level = key
+            block = tuple(partitions[modulus][ordinal])
+            raise BalanceError(modulus, block, level, len(source_side), len(target_side))
+        for (src, _), (dst, _) in zip(source_side, target_side):
+            edges.append(Edge(len(edges), src, dst, key[0]))
+    return SignedMultigraph(tuple((p.id, p.sign) for p in data.points), tuple(edges))
 
 
 class DescribesResult(NamedTuple):
@@ -255,15 +244,11 @@ def describes(graph: SignedMultigraph, data: FixedPointData) -> DescribesResult:
                 },
             )
     if data.isotropy_components:
-        block_of: dict[int, dict[str, int]] = {}
+        block_of = {
+            label: _block_ordinals(default_isotropy_partition(data, label))
+            for label in {edge.label for edge in graph.edges}
+        }
         for edge in graph.edges:
-            if edge.label not in block_of:
-                partition = default_isotropy_partition(data, edge.label)
-                block_of[edge.label] = {
-                    pid: index
-                    for index, block in enumerate(partition)
-                    for pid in block
-                }
             lookup = block_of[edge.label]
             if lookup[edge.source] != lookup[edge.target]:
                 return DescribesResult(

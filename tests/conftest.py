@@ -10,8 +10,13 @@ import pytest
 from hypothesis import strategies as st
 
 from fpkit.algebra import Polynomial, _exact_div
-from fpkit.data import FixedPointData, FixedPointDatum, load_data
-from fpkit.multigraph import Edge, SignedMultigraph
+from fpkit.data import (
+    FixedPointData,
+    FixedPointDatum,
+    default_isotropy_partition,
+    load_data,
+)
+from fpkit.multigraph import BalanceError, Edge, SignedMultigraph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -81,6 +86,42 @@ def sample_multigraph(
     return SignedMultigraph(vertices, tuple(edges))
 
 
+def reference_multigraph(data: FixedPointData) -> SignedMultigraph:
+    """The per-level matching as nested loops: moduli ascending, then blocks
+    of each modulus's isotropy partition, then members, then weights.
+
+    `fpkit.multigraph.build_multigraph` must agree with it edge for edge,
+    and on which unbalanced (modulus, block, level) it reports.
+    """
+    edges: list[Edge] = []
+    for modulus in sorted({abs(w) for p in data.points for w in p.weights}):
+        for block in default_isotropy_partition(data, modulus):
+            sources: dict[int, list[tuple[str, int]]] = {}
+            targets: dict[int, list[tuple[str, int]]] = {}
+            for member in (data.point(pid) for pid in block):
+                f_index = sum(1 for w in member.weights if w < 0 and w % modulus == 0)
+                for slot_index, w in enumerate(member.weights):
+                    if w == modulus:
+                        onto = sources if member.sign == 1 else targets
+                        level = f_index
+                    elif w == -modulus:
+                        onto = sources if member.sign == -1 else targets
+                        level = f_index - 1
+                    else:
+                        continue
+                    onto.setdefault(level, []).append((member.id, slot_index))
+            for level in sorted(set(sources) | set(targets)):
+                source_side = sorted(sources.get(level, []))
+                target_side = sorted(targets.get(level, []))
+                if len(source_side) != len(target_side):
+                    raise BalanceError(
+                        modulus, tuple(block), level, len(source_side), len(target_side)
+                    )
+                for (src, _), (dst, _) in zip(source_side, target_side):
+                    edges.append(Edge(len(edges), src, dst, modulus))
+    return SignedMultigraph(tuple((p.id, p.sign) for p in data.points), tuple(edges))
+
+
 @pytest.fixture(scope="session")
 def s2_a1():
     return load_data(fixture_path("s2_a1"))
@@ -136,3 +177,22 @@ def data_st(draw, min_points=1, max_points=4, max_half_dim=3):
         for index in range(k)
     )
     return FixedPointData("random", n, points)
+
+
+@st.composite
+def partitioned_st(draw, data):
+    """`data` with random valid isotropy partitions stored for some of its
+    weight magnitudes (and one modulus no weight has): every id in exactly
+    one nonempty block, blocks in random order, residues ignored."""
+    ids = list(data.ids)
+    magnitudes = sorted({abs(w) for p in data.points for w in p.weights} | {7})
+    components = {}
+    for modulus in draw(st.lists(st.sampled_from(magnitudes), unique=True)):
+        most = draw(st.integers(0, len(ids) - 1))
+        labels = [draw(st.integers(0, most)) for _ in ids]
+        order = draw(st.permutations(sorted(set(labels))))
+        components[modulus] = tuple(
+            tuple(pid for pid, label in zip(ids, labels) if label == wanted)
+            for wanted in order
+        )
+    return FixedPointData(data.name, data.n, data.points, components)

@@ -13,6 +13,7 @@ from fpkit.classify import (
     SearchBounds,
     TrichotomyVerdict,
     _candidate,
+    _feasible,
     _point_universe,
     random_graph_data,
     random_multigraph,
@@ -338,6 +339,22 @@ class TestRandomGeneration:
             random_multigraph(0, 5, 4, 3)  # needs labels up to 4
         # the same shape is fine once the label bound allows it
         assert random_multigraph(0, 5, 4, 4) is not None
+
+    @pytest.mark.parametrize("max_label", [1, 2, 3, 5, 10, 25, 40])
+    def test_every_feasible_shape_builds(self, max_label):
+        # the generator's output is realizable, so its graph always exists
+        # and describes it; infeasible shapes are refused
+        feasible = 0
+        for points, half_dim in itertools.product(range(1, 9), range(1, 5)):
+            if not _feasible(points, half_dim, max_label):
+                with pytest.raises(ValueError):
+                    random_graph_data(0, points, half_dim, max_label)
+                continue
+            feasible += 1
+            for seed in range(4):
+                data = random_graph_data(seed, points, half_dim, max_label)
+                assert describes(build_multigraph(data), data)
+        assert feasible >= 16
 
     def test_max_label_respected_small(self):
         for seed in range(10):

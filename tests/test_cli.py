@@ -18,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpkit.algebra
+import fpkit.classify
 import fpkit.cli
 import fpkit.genus
 import fpkit.identities
+import fpkit.multigraph
 from fpkit.cli import _format_chi_y, _json_text, main
 from fpkit.data import load_data, serialize_data
 from fpkit.genus import default_series_order
@@ -424,6 +426,31 @@ class TestRandom:
         assert code == 2
         assert out == ""
         assert "no realizable composition" in err
+
+    def test_builds_no_graph(self, capsys, monkeypatch):
+        # the composed data is printed as it is, without a graph round trip
+        calls = []
+        for name in ("build_multigraph", "induced_data"):
+            original = getattr(fpkit.multigraph, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module in (fpkit.multigraph, fpkit.classify, fpkit.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(
+            capsys,
+            "random",
+            "--seed", "7",
+            "--points", "6",
+            "--dim", "4",
+            "--max-label", "5",
+        )
+        assert code == 0
+        assert len(json.loads(out)["fixed_points"]) == 6
+        assert calls == []
 
 
 class TestReport:

@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
+from fpkit.classify import random_graph_data
 from fpkit.data import (
     CongruenceResult,
     DataFormatError,
@@ -248,6 +249,39 @@ class TestParsing:
     @settings(max_examples=40)
     def test_round_trip_random(self, data):
         assert parse_data(serialize_data(data)) == data
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            random_graph_data(7, 4, 2, 5),
+            random_graph_data(3, 8, 4, 40),
+            random_graph_data(1, 2, 1, 1),
+            load_data(fixture_path("s8")),
+            make_data(
+                2,
+                [("a", 1, (1, 2)), ("b", -1, (1, 2)), ("c\u00e9", 1, (-3, 3))],
+                name='stored "blocks"',
+                isotropy={2: (("a", "c\u00e9"), ("b",)), 10: (("a", "b", "c\u00e9"),)},
+            ),
+            make_data(1, [], name="no points"),
+        ],
+        ids=["generated-4-2", "generated-8-4", "generated-2-1", "s8", "stored", "empty"],
+    )
+    def test_serialize_matches_indented_dumps(self, data):
+        doc = {
+            "name": data.name,
+            "dimension": 2 * data.n,
+            "fixed_points": [
+                {"id": p.id, "sign": p.sign, "weights": list(p.weights)}
+                for p in data.points
+            ],
+        }
+        if data.isotropy_components:
+            doc["isotropy_components"] = {
+                str(modulus): [list(block) for block in blocks]
+                for modulus, blocks in sorted(data.isotropy_components.items())
+            }
+        assert serialize_data(data) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestPartitions:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpkit.data import FixedPointData, default_isotropy_partition
+from fpkit.classify import random_graph_data
+from fpkit.data import FixedPointData, FixedPointDatum, default_isotropy_partition
 from fpkit.multigraph import (
     BalanceError,
     Edge,
@@ -15,7 +18,24 @@ from fpkit.multigraph import (
     induced_data,
     sub_multigraph,
 )
-from tests.conftest import GOLDEN, make_data
+from tests.conftest import (
+    GOLDEN,
+    data_st,
+    make_data,
+    partitioned_st,
+    reference_multigraph,
+)
+
+#: Arbitrary data, which seldom builds, mixed with realizable data, which
+#: always does.
+graph_data_st = st.one_of(
+    data_st(max_points=5),
+    st.builds(
+        lambda seed, shape: random_graph_data(seed, *shape, 5),
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 1), (4, 3), (5, 2), (6, 2)]),
+    ),
+)
 
 
 def edge_triples(graph):
@@ -24,6 +44,22 @@ def edge_triples(graph):
 
 def with_components(data, components):
     return FixedPointData(data.name, data.half_dim, data.points, components)
+
+
+def build_outcome(builder, data):
+    """The graph a builder returns, or the fields of its BalanceError."""
+    try:
+        graph = builder(data)
+    except BalanceError as exc:
+        fields = (exc.modulus, exc.block, exc.level, exc.source_count, exc.target_count)
+        return ("unbalanced",) + fields
+    return ("graph", graph.vertices, graph.edges)
+
+
+def sign_flipped(data):
+    """Every sign negated, weights and partitions kept."""
+    points = tuple(FixedPointDatum(p.id, -p.sign, p.weights) for p in data.points)
+    return FixedPointData(data.name, data.n, points, data.isotropy_components)
 
 
 def sign_pairs(graph):
@@ -124,6 +160,16 @@ class TestBalanceError:
         assert payload["modulus"] == 1
         assert sorted(payload["block"]) == ["p", "q"]
 
+    def test_first_unbalanced_key_reported(self):
+        # both moduli are unbalanced; the smallest (modulus, block, level)
+        # is reported, here modulus 1 with one unmatched source slot
+        data = make_data(1, [("p", 1, (1,)), ("q", 1, (2,))])
+        with pytest.raises(BalanceError) as excinfo:
+            build_multigraph(data)
+        err = excinfo.value
+        assert (err.modulus, err.block, err.level) == (1, ("p", "q"), 0)
+        assert (err.source_count, err.target_count) == (1, 0)
+
     def test_balance_error_is_value_error(self):
         assert issubclass(BalanceError, ValueError)
 
@@ -133,6 +179,90 @@ class TestBalanceError:
         split = with_components(s2n, {2: (("p",), ("q",))})
         with pytest.raises(BalanceError):
             build_multigraph(split)
+
+
+class TestAgainstReference:
+    """The one-pass builder against the nested-loop reference in conftest."""
+
+    @staticmethod
+    def agree(strategy) -> set:
+        kinds = set()
+
+        @given(strategy)
+        @settings(max_examples=300, deadline=None)
+        def compare(data):
+            outcome = build_outcome(build_multigraph, data)
+            assert outcome == build_outcome(reference_multigraph, data)
+            kinds.add(outcome[0])
+
+        compare()
+        return kinds
+
+    def test_residue_partitions(self):
+        assert self.agree(graph_data_st) == {"graph", "unbalanced"}
+
+    def test_stored_partitions(self):
+        assert self.agree(graph_data_st.flatmap(partitioned_st)) == {
+            "graph",
+            "unbalanced",
+        }
+
+    def test_induced_data_gives_the_data_back(self):
+        # what lets `random_graph_data` skip the graph: whenever the build
+        # succeeds, every slot is on exactly one edge and reads back as its
+        # own weight
+        built = []
+
+        @given(st.one_of(graph_data_st, graph_data_st.flatmap(partitioned_st)))
+        @settings(max_examples=300, deadline=None)
+        def round_trip(data):
+            try:
+                graph = build_multigraph(data)
+            except BalanceError:
+                return
+            induced = induced_data(graph, data.n, data.name)
+            assert induced.ids == data.ids
+            assert [p.sign for p in induced.points] == [p.sign for p in data.points]
+            assert [p.weights for p in induced.points] == [
+                p.weights for p in data.points
+            ]
+            built.append(bool(data.isotropy_components))
+
+        round_trip()
+        assert set(built) == {True, False}
+
+    def test_build_invariant_under_sign_flip_and_negation(self):
+        """On data without stored partitions, the build succeeds on d exactly
+        when it succeeds on the global sign flip of d and on ``d.reversed()``.
+
+        Proof.  Fix a modulus m and a residue block B of d.  The sign flip
+        keeps every weight, so it keeps B and every slot's level, and it moves
+        each slot to the other side: at each level the side counts (s, t)
+        become (t, s).  Negation maps residues r to -r, so two points agree
+        mod m before exactly when they agree after, and B is again a block.
+        Let c be the number of weights divisible by m; it is the count of
+        residue 0, so it is the same for every member of B.  Negation turns a
+        member's F-index F into c - F, so a +m slot at level F becomes a -m
+        slot at level c - F - 1, a -m slot at level F - 1 becomes a +m slot at
+        level c - F, and each changes side.  Levels map by l -> c - 1 - l, a
+        bijection, and the side counts at l become the swapped counts at the
+        image level.  Either way every level balances after exactly when it
+        balanced before.
+        """
+        seen = set()
+
+        @given(graph_data_st)
+        @settings(max_examples=300, deadline=None)
+        def invariant(data):
+            builds = {
+                build_outcome(build_multigraph, image)[0]
+                for image in (data, sign_flipped(data), data.reversed())
+            }
+            assert len(builds) == 1
+            seen.update(builds)
+
+        invariant()
+        assert seen == {"graph", "unbalanced"}
 
 
 class TestDescribes:
