@@ -17,7 +17,10 @@ emitted (and stable run-to-run) is part of the survey's contract.
 The weight-balance check is linear in the points, so the survey never lists
 the unbalanced candidates: it joins (k-1)-point prefixes against an index of
 point specs by balance vector, and counts the rest as ``weight_balance``
-rejections.
+rejections.  Every other check is a sum of per-point integer terms too
+(`fpkit.identities.spec_filters`), computed once per point spec; a balanced
+candidate is a tuple of spec positions whose terms are summed, and only the
+survivors are built as data.
 
 `random_graph_data` produces seed-deterministic realizable data for
 property tests and the benchmark; `random_multigraph` is its graph, a random
@@ -34,7 +37,7 @@ from collections import namedtuple
 from typing import Iterator, NamedTuple
 
 from fpkit.data import FixedPointData, FixedPointDatum
-from fpkit.identities import evaluate_filters
+from fpkit.identities import balance_term, spec_filters
 from fpkit.multigraph import SignedMultigraph, build_multigraph
 from fpkit.parallel import parallel_map
 
@@ -120,24 +123,20 @@ def _point_universe(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
 def _balance_vector(
     sign: int, weights: tuple[int, ...], max_weight: int
 ) -> tuple[int, ...]:
-    """v[m - 1] = sign * (#m - #(-m)) for m = 1..W.
+    """v[m - 1] = sign * (#m - #(-m)) for m = 1..W, the difference of the
+    weight-balance term.
 
     A multiset of points passes ``weight_balance`` exactly when its vectors
     sum to zero.
     """
-    vector = [0] * max_weight
-    for w in weights:
-        if w > 0:
-            vector[w - 1] += sign
-        else:
-            vector[-w - 1] -= sign
-    return tuple(vector)
+    term = balance_term(sign, weights, range(1, max_weight + 1))
+    return tuple(plus - minus for plus, minus in zip(term[0::2], term[1::2]))
 
 
 def _balanced_combinations(
     universe: list[tuple[int, tuple[int, ...]]], points: int, max_weight: int
-) -> Iterator[tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The balanced `points`-multisets of `universe`, as spec tuples.
+) -> Iterator[tuple[int, ...]]:
+    """The balanced `points`-multisets of `universe`, as position tuples.
 
     They come in the order of ``combinations_with_replacement(universe,
     points)``: the (k-1)-point prefixes of positions are walked in that
@@ -156,9 +155,8 @@ def _balanced_combinations(
         wanted = tuple(-sum(column) for column in summed)
         matches = positions.get(wanted, ())
         start = bisect.bisect_left(matches, prefix[-1]) if prefix else 0
-        head = tuple(universe[i] for i in prefix)
         for last in matches[start:]:
-            yield head + (universe[last],)
+            yield prefix + (last,)
 
 
 def _candidate(specs: tuple[tuple[int, tuple[int, ...]], ...], n: int) -> FixedPointData:
@@ -229,8 +227,9 @@ def survey(bounds: SearchBounds) -> SurveyReport:
     """Run the identity suite over every candidate and classify survivors.
 
     Rejections are tallied by the first failing checker.  Unbalanced
-    candidates are counted, not built; the balanced ones run the whole
-    suite.  For two-point bounds, survivors additionally get a shape
+    candidates are counted, not listed; the balanced ones are tested against
+    every other check on their summed per-spec terms, and only the survivors
+    are built as data.  For two-point bounds, survivors additionally get a shape
     verdict; survivors with verdict ``none`` are flagged.  The report is
     deterministic for given bounds.
     Raises ``ValueError`` when the bounds need more than
@@ -247,13 +246,10 @@ def survey(bounds: SearchBounds) -> SurveyReport:
         )
     universe = _point_universe(bounds)
     balanced = _balanced_combinations(universe, bounds.points, w)
+    first_failure = spec_filters(universe, n)
 
-    def evaluate(specs):
-        # Only survivors keep their data, so rejected candidates are freed
-        # as the map goes.
-        data = _candidate(specs, n)
-        outcomes, passed = evaluate_filters(data)
-        return outcomes[-1].name, data if passed else None
+    def evaluate(positions):
+        return first_failure(positions), positions
 
     results = parallel_map(evaluate, balanced)
 
@@ -268,10 +264,11 @@ def survey(bounds: SearchBounds) -> SurveyReport:
         if classify_pairs
         else None
     )
-    for name, data in results:
-        if data is None:
+    for name, positions in results:
+        if name is not None:
             rejects[name] += 1
             continue
+        data = _candidate(tuple(universe[i] for i in positions), n)
         entry = _survivor_entry(data)
         if classify_pairs:
             verdict = trichotomy_match(data)

@@ -334,7 +334,7 @@ def serialize_data(data: FixedPointData) -> str:
 
 def residue_signature(point: FixedPointDatum, modulus: int) -> tuple[int, ...]:
     """Sorted multiset of the point's weights reduced mod the modulus."""
-    return tuple(sorted(w % modulus for w in point.weights))
+    return tuple(sorted([w % modulus for w in point.weights]))
 
 
 def default_isotropy_partition(data: FixedPointData, modulus: int) -> Partition:

@@ -18,6 +18,15 @@ suite doubles as a realizability filter for the survey classifier:
   class's localization sum vanishes individually, and a somewhere-injective
   Chern map forces at least n + 1 points.
 
+The checkers sum per-point integer terms.  Each ``*_term`` function gives
+one point's term from its (sign, weights) alone; a checker sums the terms
+over the points and reads its witness off the sums.  The localization terms
+are scaled by a common denominator D, a positive multiple of every
+|prod(weights)| (`common_denominator`), so each sum is an integer that
+vanishes exactly when the rational sum does, and a `Fraction` is made only
+for a value that is reported.  `spec_filters` sums the same terms for the
+survey, where they are computed once per point spec.
+
 `validate_all` runs the full suite in a fixed order; strict mode adds the
 congruence audit of user-supplied isotropy components and constancy of the
 symbolic genus route.
@@ -25,11 +34,14 @@ symbolic genus route.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from fpkit.data import FixedPointData, check_congruence
 from fpkit.genus import chi_symbolic
+
+Weights = tuple[int, ...]
 
 
 class CheckOutcome(NamedTuple):
@@ -49,19 +61,43 @@ class CheckOutcome(NamedTuple):
         return out
 
 
-def _signed_count(data: FixedPointData, w: int) -> int:
-    return sum(p.sign * p.multiplicity(w) for p in data.points)
+def _sums(rows: Iterable[Sequence[int]], width: int) -> list[int]:
+    """Column sums of integer rows of the given width (zeros for no rows)."""
+    return list(map(sum, zip(*rows))) or [0] * width
+
+
+def _first(flags: Iterable) -> "int | None":
+    """Position of the first truthy flag, or None."""
+    for i, flag in enumerate(flags):
+        if flag:
+            return i
+    return None
 
 
 def _magnitudes(data: FixedPointData) -> list[int]:
     return sorted({abs(w) for p in data.points for w in p.weights})
 
 
+def common_denominator(weight_sets: Iterable[Weights]) -> int:
+    """D = lcm of |prod(weights)| over the weight sets (1 for none)."""
+    return math.lcm(*(abs(math.prod(weights)) for weights in weight_sets))
+
+
+def balance_term(
+    sign: int, weights: Weights, magnitudes: Sequence[int]
+) -> tuple[int, ...]:
+    """Weight balance: eps * #m and eps * #(-m) for each magnitude m, flattened."""
+    return tuple(sign * weights.count(w) for m in magnitudes for w in (m, -m))
+
+
 def check_weight_balance(data: FixedPointData) -> CheckOutcome:
     """Signed multiplicity of w must equal the signed multiplicity of -w."""
-    for w in _magnitudes(data):
-        plus = _signed_count(data, w)
-        minus = _signed_count(data, -w)
+    magnitudes = _magnitudes(data)
+    sums = _sums(
+        (balance_term(p.sign, p.weights, magnitudes) for p in data.points),
+        2 * len(magnitudes),
+    )
+    for w, plus, minus in zip(magnitudes, sums[0::2], sums[1::2]):
         if plus != minus:
             return CheckOutcome(
                 "weight_balance",
@@ -71,31 +107,77 @@ def check_weight_balance(data: FixedPointData) -> CheckOutcome:
     return CheckOutcome("weight_balance", True)
 
 
+def parity_term(
+    sign: int, weights: Weights, magnitudes: Sequence[int]
+) -> tuple[int, ...]:
+    """Hattori parity: #m + #(-m) for each magnitude m (the sign does not enter)."""
+    return tuple(weights.count(m) + weights.count(-m) for m in magnitudes)
+
+
+def _first_odd(totals: Sequence[int]) -> "int | None":
+    return _first(total % 2 for total in totals)
+
+
 def check_hattori_parity(data: FixedPointData) -> CheckOutcome:
     """The total number of weights equal to +-w must be even, for each w > 0."""
-    for w in _magnitudes(data):
-        total = sum(p.multiplicity(w) + p.multiplicity(-w) for p in data.points)
-        if total % 2 != 0:
-            return CheckOutcome("hattori_parity", False, {"w": w, "total": total})
+    magnitudes = _magnitudes(data)
+    totals = _sums(
+        (parity_term(p.sign, p.weights, magnitudes) for p in data.points),
+        len(magnitudes),
+    )
+    odd = _first_odd(totals)
+    if odd is not None:
+        return CheckOutcome(
+            "hattori_parity", False, {"w": magnitudes[odd], "total": totals[odd]}
+        )
     return CheckOutcome("hattori_parity", True)
+
+
+def _odd_count_odd_n(points: int, n: int) -> bool:
+    return points % 2 == 1 and n % 2 == 1
 
 
 def check_odd_count_even_n(data: FixedPointData) -> CheckOutcome:
     """An odd number of fixed points forces an even half-dimension."""
     k = len(data.points)
-    if k % 2 == 1 and data.n % 2 == 1:
+    if _odd_count_odd_n(k, data.n):
         return CheckOutcome(
             "odd_points_even_dim", False, {"points": k, "half_dimension": data.n}
         )
     return CheckOutcome("odd_points_even_dim", True)
 
 
+def chern_sum_term(sign: int, weights: Weights) -> int:
+    """Chern sum: eps * c1, with c1 the sum of the weights."""
+    return sign * sum(weights)
+
+
 def check_c1_sum(data: FixedPointData) -> CheckOutcome:
     """The signed sum of the per-point weight sums must vanish."""
-    total = sum(p.sign * p.chern_value for p in data.points)
+    total = sum(chern_sum_term(p.sign, p.weights) for p in data.points)
     if total != 0:
         return CheckOutcome("chern_sum", False, {"sum": total})
     return CheckOutcome("chern_sum", True)
+
+
+def min_weight_term(
+    sign: int, weights: Weights, a: int, n: int
+) -> tuple[int, ...]:
+    """Minimal-weight balance at magnitude a, for each index i < n: the pair
+    (eps * #a if the point has index i, eps * #(-a) if it has index i + 1),
+    flattened.  The index is the number of negative weights."""
+    index = sum(1 for w in weights if w < 0)
+    row = [0] * (2 * n)
+    if index < n:
+        row[2 * index] = sign * weights.count(a)
+    if index > 0:
+        row[2 * index - 1] = sign * weights.count(-a)
+    return tuple(row)
+
+
+def _first_unequal(pairs: Sequence[int]) -> "int | None":
+    """The first i with pairs[2i] != pairs[2i + 1], or None."""
+    return _first(lhs != rhs for lhs, rhs in zip(pairs[0::2], pairs[1::2]))
 
 
 def check_min_weight_balance(data: FixedPointData) -> CheckOutcome:
@@ -110,19 +192,23 @@ def check_min_weight_balance(data: FixedPointData) -> CheckOutcome:
     if not data.points:
         raise ValueError("minimal weight magnitude is undefined without points")
     a = min(abs(w) for p in data.points for w in p.weights)
-
-    def level(i: int, w: int) -> int:
-        return sum(p.sign * p.multiplicity(w) for p in data.points if p.index == i)
-
-    for i in range(data.n):
-        lhs = level(i, a)
-        rhs = level(i + 1, -a)
-        if lhs != rhs:
-            return CheckOutcome(
-                "min_weight_index_balance",
-                False,
-                {"a": a, "i": i, "identity": "per-index", "lhs": lhs, "rhs": rhs},
-            )
+    sums = _sums(
+        (min_weight_term(p.sign, p.weights, a, data.n) for p in data.points),
+        2 * data.n,
+    )
+    i = _first_unequal(sums)
+    if i is not None:
+        return CheckOutcome(
+            "min_weight_index_balance",
+            False,
+            {
+                "a": a,
+                "i": i,
+                "identity": "per-index",
+                "lhs": sums[2 * i],
+                "rhs": sums[2 * i + 1],
+            },
+        )
     return CheckOutcome("min_weight_index_balance", True)
 
 
@@ -136,28 +222,86 @@ class AbbvValue(NamedTuple):
         return {"power": self.power, "value": str(self.value)}
 
 
+def abbv_term(
+    sign: int, weights: Weights, denominator: int, powers: Iterable[int]
+) -> tuple[int, ...]:
+    """Localization: eps * c1^j * (D / prod(weights)) for each power j, where
+    the denominator D is a multiple of |prod(weights)|."""
+    scaled = sign * denominator // math.prod(weights)
+    c1 = sum(weights)
+    return tuple(scaled * c1**j for j in powers)
+
+
 def abbv_c1_power(data: FixedPointData, power: int) -> AbbvValue:
     """Exact localization sum of c1^power over the fixed points."""
     if power < 0:
         raise ValueError("power must be nonnegative")
-    total = Fraction(0)
-    for p in data.points:
-        product = 1
-        for w in p.weights:
-            product *= w
-        total += Fraction(p.sign * p.chern_value**power, product)
-    return AbbvValue(power, total)
+    denominator = common_denominator(p.weights for p in data.points)
+    total = sum(
+        abbv_term(p.sign, p.weights, denominator, (power,))[0] for p in data.points
+    )
+    return AbbvValue(power, Fraction(total, denominator))
 
 
 def check_abbv_vanishing(data: FixedPointData) -> CheckOutcome:
     """The localization sums of c1^j must vanish for every 0 <= j < n."""
-    for j in range(data.n):
-        value = abbv_c1_power(data, j)
-        if value.value != 0:
-            return CheckOutcome(
-                "abbv_vanishing", False, {"power": j, "value": str(value.value)}
-            )
+    denominator = common_denominator(p.weights for p in data.points)
+    powers = range(data.n)
+    sums = _sums(
+        (abbv_term(p.sign, p.weights, denominator, powers) for p in data.points),
+        data.n,
+    )
+    j = _first(sums)
+    if j is not None:
+        value = Fraction(sums[j], denominator)
+        return CheckOutcome("abbv_vanishing", False, {"power": j, "value": str(value)})
     return CheckOutcome("abbv_vanishing", True)
+
+
+def chern_class_term(sign: int, weights: Weights, denominator: int) -> tuple[int, int]:
+    """Chern-map class sums: the key c1 and the term eps * D / prod(weights),
+    summed per key."""
+    return sum(weights), sign * denominator // math.prod(weights)
+
+
+class _ClassStructure(NamedTuple):
+    distinct_values: int
+    zero_required: bool
+    violations: tuple[int, ...]
+    somewhere_injective: bool
+
+
+def _class_structure(
+    classes: Mapping[int, tuple[int, int]], n: int
+) -> _ClassStructure:
+    """Read the Chern-map structure off {c1 value: (point count, class sum)}."""
+    distinct = len(classes)
+    zero_required = 0 < distinct <= n
+    violations = (
+        tuple(value for value in sorted(classes) if classes[value][1])
+        if zero_required
+        else ()
+    )
+    somewhere_injective = any(count == 1 for count, _ in classes.values())
+    return _ClassStructure(distinct, zero_required, violations, somewhere_injective)
+
+
+def _class_failure(structure: _ClassStructure, n: int, points: int) -> "str | None":
+    """Why the Chern map rules the data out, or None."""
+    if structure.violations:
+        return "class sum must vanish"
+    if structure.somewhere_injective and points < n + 1:
+        return "somewhere-injective map needs at least n + 1 points"
+    return None
+
+
+def _class_sums(terms: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """{c1 value: (point count, class sum)} from the points' Chern-class terms."""
+    classes: dict[int, tuple[int, int]] = {}
+    for value, term in terms:
+        count, total = classes.get(value, (0, 0))
+        classes[value] = (count + 1, total + term)
+    return classes
 
 
 class ChernAnalysis(NamedTuple):
@@ -195,63 +339,53 @@ class ChernAnalysis(NamedTuple):
 
 def chern_map_analysis(data: FixedPointData) -> ChernAnalysis:
     """Group points by weight sum and evaluate each class's localization sum."""
-    groups: dict[int, list[str]] = {}
-    sums: dict[int, Fraction] = {}
+    denominator = common_denominator(p.weights for p in data.points)
+    sums = _class_sums(
+        chern_class_term(p.sign, p.weights, denominator) for p in data.points
+    )
+    ids: dict[int, list[str]] = {}
     for p in data.points:
-        value = p.chern_value
-        groups.setdefault(value, []).append(p.id)
-        product = 1
-        for w in p.weights:
-            product *= w
-        sums[value] = sums.get(value, Fraction(0)) + Fraction(p.sign, product)
-    classes = tuple(
-        (value, tuple(groups[value]), sums[value]) for value in sorted(groups)
-    )
-    distinct = len(classes)
-    zero_required = 0 < distinct <= data.n
-    violations = (
-        tuple(value for value, _, total in classes if total != 0)
-        if zero_required
-        else ()
-    )
-    somewhere_injective = any(len(ids) == 1 for _, ids, _ in classes)
-    lower_bound = data.n + 1 if somewhere_injective else None
-    bound_met = len(data.points) >= lower_bound if somewhere_injective else None
+        ids.setdefault(p.chern_value, []).append(p.id)
+    structure = _class_structure(sums, data.n)
+    injective = structure.somewhere_injective
+    lower_bound = data.n + 1 if injective else None
     return ChernAnalysis(
-        classes=classes,
-        distinct_values=distinct,
-        zero_required=zero_required,
-        violations=violations,
-        somewhere_injective=somewhere_injective,
+        classes=tuple(
+            (value, tuple(ids[value]), Fraction(sums[value][1], denominator))
+            for value in sorted(sums)
+        ),
+        distinct_values=structure.distinct_values,
+        zero_required=structure.zero_required,
+        violations=structure.violations,
+        somewhere_injective=injective,
         lower_bound=lower_bound,
-        bound_met=bound_met,
+        bound_met=len(data.points) >= lower_bound if injective else None,
     )
 
 
 def check_chern_classes(data: FixedPointData) -> CheckOutcome:
     """Aggregate Chern-map outcome: class sums and the point-count bound."""
-    analysis = chern_map_analysis(data)
-    if analysis.zero_required and analysis.violations:
-        return CheckOutcome(
-            "chern_class_map",
-            False,
-            {
-                "reason": "class sum must vanish",
-                "values": list(analysis.violations),
-                "distinct_values": analysis.distinct_values,
-            },
-        )
-    if analysis.somewhere_injective and not analysis.bound_met:
-        return CheckOutcome(
-            "chern_class_map",
-            False,
-            {
-                "reason": "somewhere-injective map needs at least n + 1 points",
-                "lower_bound": analysis.lower_bound,
-                "points": len(data.points),
-            },
-        )
-    return CheckOutcome("chern_class_map", True)
+    denominator = common_denominator(p.weights for p in data.points)
+    sums = _class_sums(
+        chern_class_term(p.sign, p.weights, denominator) for p in data.points
+    )
+    structure = _class_structure(sums, data.n)
+    reason = _class_failure(structure, data.n, len(data.points))
+    if reason is None:
+        return CheckOutcome("chern_class_map", True)
+    if structure.violations:
+        witness = {
+            "reason": reason,
+            "values": list(structure.violations),
+            "distinct_values": structure.distinct_values,
+        }
+    else:
+        witness = {
+            "reason": reason,
+            "lower_bound": data.n + 1,
+            "points": len(data.points),
+        }
+    return CheckOutcome("chern_class_map", False, witness)
 
 
 def _check_partition_congruence(data: FixedPointData) -> CheckOutcome:
@@ -316,6 +450,61 @@ def evaluate_filters(data: FixedPointData) -> tuple[list[CheckOutcome], bool]:
         if not outcome.passed:
             return outcomes, False
     return outcomes, True
+
+
+def spec_filters(
+    specs: Sequence[tuple[int, Weights]], n: int
+) -> Callable[[Sequence[int]], "str | None"]:
+    """The non-strict checks after weight balance, over a fixed list of
+    (sign, weights) point specs.
+
+    Every spec's terms are computed here once, over the magnitudes of all
+    specs and their common denominator.  The returned function takes the
+    positions of a weight-balanced multiset of specs, sums their terms and
+    returns the name of the first check after weight balance that fails,
+    in evaluation order, or None.  Weight balance itself is not tested (the
+    survey's join is that test), so on balanced positions this is what
+    `evaluate_filters` reports for the data made of those specs.  No data
+    and no `Fraction` is made.
+    """
+    magnitudes = sorted({abs(w) for _, weights in specs for w in weights})
+    denominator = common_denominator(weights for _, weights in specs)
+    powers = range(n)
+    terms = []
+    for sign, weights in specs:
+        # a spec's minimal-weight term is nonzero only at its own minimal
+        # magnitude, the only one that can be a multiset's minimum with it
+        a = min(map(abs, weights))
+        terms.append((
+            parity_term(sign, weights, magnitudes),
+            chern_sum_term(sign, weights),
+            a,
+            min_weight_term(sign, weights, a, n),
+            abbv_term(sign, weights, denominator, powers),
+            chern_class_term(sign, weights, denominator),
+        ))
+
+    def first_failure(positions: Sequence[int]) -> "str | None":
+        parity, c1, minima, min_weight, abbv, classes = zip(*[terms[i] for i in positions])
+        if _first_odd(_sums(parity, len(magnitudes))) is not None:
+            return "hattori_parity"
+        points = len(positions)
+        if _odd_count_odd_n(points, n):
+            return "odd_points_even_dim"
+        if sum(c1):
+            return "chern_sum"
+        a = min(minima)
+        rows = [row for row, least in zip(min_weight, minima) if least == a]
+        if _first_unequal(_sums(rows, 2 * n)) is not None:
+            return "min_weight_index_balance"
+        if _first(_sums(abbv, n)) is not None:
+            return "abbv_vanishing"
+        structure = _class_structure(_class_sums(classes), n)
+        if _class_failure(structure, n, points) is not None:
+            return "chern_class_map"
+        return None
+
+    return first_failure
 
 
 def all_passed(outcomes: list[CheckOutcome]) -> bool:

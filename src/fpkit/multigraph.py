@@ -31,7 +31,12 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from fpkit.data import FixedPointData, FixedPointDatum, default_isotropy_partition
+from fpkit.data import (
+    FixedPointData,
+    FixedPointDatum,
+    default_isotropy_partition,
+    residue_signature,
+)
 
 
 class BalanceError(ValueError):
@@ -147,38 +152,69 @@ def _block_ordinals(partition: tuple) -> dict[str, int]:
     return {pid: ordinal for ordinal, block in enumerate(partition) for pid in block}
 
 
+def _residue_ordinals(data: FixedPointData, modulus: int) -> dict[str, int]:
+    """Point id -> ordinal of its residue block, for the points with a weight
+    divisible by the modulus.
+
+    A point with a weight +-modulus has the residue 0, so only such points
+    share its block: numbering the blocks by first appearance among them
+    keeps the order of `default_isotropy_partition`'s blocks that hold a
+    +-modulus slot.
+    """
+    ordinals: dict[tuple[int, ...], int] = {}
+    block_of: dict[str, int] = {}
+    for p in data.points:
+        signature = residue_signature(p, modulus)
+        if signature[0] == 0:
+            block_of[p.id] = ordinals.setdefault(signature, len(ordinals))
+    return block_of
+
+
 def build_multigraph(data: FixedPointData) -> SignedMultigraph:
     """Construct a describing multigraph by the per-level matching.
 
-    Each weight slot is filed once under (modulus, block ordinal, level), and
-    the keys are matched in sorted order.  Raises :class:`BalanceError` at the
-    first key with unequal slot sides: the data cannot be realized with those
-    partitions.
+    Magnitudes are matched in ascending order.  Each weight slot of a
+    magnitude is filed under (block ordinal, level), and the keys are
+    matched in sorted order.  Raises :class:`BalanceError` at the first key
+    with unequal slot sides, without looking at later magnitudes: the data
+    cannot be realized with those partitions.  A residue partition is built
+    in full only for a block that is reported.
     """
-    partitions = {
-        modulus: default_isotropy_partition(data, modulus)
-        for modulus in {abs(w) for p in data.points for w in p.weights}
-    }
-    block_of = {m: _block_ordinals(partition) for m, partition in partitions.items()}
-    # key -> (source slots, target slots); a slot is (point id, position in
-    # the point's sorted weights), so ties sort stably
-    sides: dict[tuple[int, int, int], tuple[list, list]] = {}
+    # modulus -> [(point, slot index, weight)], points in data order
+    slots: dict[int, list[tuple[FixedPointDatum, int, int]]] = {}
     for point in data.points:
         for slot_index, w in enumerate(point.weights):
-            modulus = abs(w)
-            level = _f_index(point, modulus) - (w < 0)
-            key = (modulus, block_of[modulus][point.id], level)
+            slots.setdefault(abs(w), []).append((point, slot_index, w))
+    edges: list[Edge] = []
+    for modulus in sorted(slots):
+        stored = data.isotropy_components.get(modulus)
+        block_of = (
+            _block_ordinals(stored)
+            if stored is not None
+            else _residue_ordinals(data, modulus)
+        )
+        # (block ordinal, level) -> (source slots, target slots); a slot is
+        # (point id, position in the point's sorted weights), so ties sort
+        # stably
+        sides: dict[tuple[int, int], tuple[list, list]] = {}
+        for point, slot_index, w in slots[modulus]:
+            key = (block_of[point.id], _f_index(point, modulus) - (w < 0))
             on_target = (w > 0) != (point.sign == 1)
             sides.setdefault(key, ([], []))[on_target].append((point.id, slot_index))
-    edges: list[Edge] = []
-    for key in sorted(sides):
-        source_side, target_side = map(sorted, sides[key])
-        if len(source_side) != len(target_side):
-            modulus, ordinal, level = key
-            block = tuple(partitions[modulus][ordinal])
-            raise BalanceError(modulus, block, level, len(source_side), len(target_side))
-        for (src, _), (dst, _) in zip(source_side, target_side):
-            edges.append(Edge(len(edges), src, dst, key[0]))
+        for key in sorted(sides):
+            source_side, target_side = map(sorted, sides[key])
+            if len(source_side) != len(target_side):
+                member = (source_side or target_side)[0][0]
+                block = next(
+                    block
+                    for block in default_isotropy_partition(data, modulus)
+                    if member in block
+                )
+                raise BalanceError(
+                    modulus, tuple(block), key[1], len(source_side), len(target_side)
+                )
+            for (src, _), (dst, _) in zip(source_side, target_side):
+                edges.append(Edge(len(edges), src, dst, modulus))
     return SignedMultigraph(tuple((p.id, p.sign) for p in data.points), tuple(edges))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from fpkit.data import (
     default_isotropy_partition,
     load_data,
 )
+from fpkit.identities import AbbvValue, ChernAnalysis, CheckOutcome
 from fpkit.multigraph import BalanceError, Edge, SignedMultigraph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -122,6 +124,93 @@ def reference_multigraph(data: FixedPointData) -> SignedMultigraph:
     return SignedMultigraph(tuple((p.id, p.sign) for p in data.points), tuple(edges))
 
 
+# -- Fraction references for the localization sums --------------------------
+#
+# fpkit sums the localization terms as integers over a common denominator;
+# these are the direct `Fraction` sums it replaced, kept as an independent
+# cross-check.
+
+
+def _weight_product(point: FixedPointDatum) -> int:
+    product = 1
+    for w in point.weights:
+        product *= w
+    return product
+
+
+def reference_abbv_c1_power(data: FixedPointData, power: int) -> AbbvValue:
+    """sum_p eps(p) * c1(p)^power / prod(weights), summed as Fractions."""
+    total = Fraction(0)
+    for p in data.points:
+        total += Fraction(p.sign * p.chern_value**power, _weight_product(p))
+    return AbbvValue(power, total)
+
+
+def reference_chern_map_analysis(data: FixedPointData) -> ChernAnalysis:
+    """The Chern-map classes and their Fraction localization sums."""
+    groups: dict[int, list[str]] = {}
+    sums: dict[int, Fraction] = {}
+    for p in data.points:
+        value = p.chern_value
+        groups.setdefault(value, []).append(p.id)
+        sums[value] = sums.get(value, Fraction(0)) + Fraction(p.sign, _weight_product(p))
+    classes = tuple(
+        (value, tuple(groups[value]), sums[value]) for value in sorted(groups)
+    )
+    distinct = len(classes)
+    zero_required = 0 < distinct <= data.n
+    violations = (
+        tuple(value for value, _, total in classes if total != 0)
+        if zero_required
+        else ()
+    )
+    somewhere_injective = any(len(ids) == 1 for _, ids, _ in classes)
+    lower_bound = data.n + 1 if somewhere_injective else None
+    bound_met = len(data.points) >= lower_bound if somewhere_injective else None
+    return ChernAnalysis(
+        classes=classes,
+        distinct_values=distinct,
+        zero_required=zero_required,
+        violations=violations,
+        somewhere_injective=somewhere_injective,
+        lower_bound=lower_bound,
+        bound_met=bound_met,
+    )
+
+
+def reference_check_abbv_vanishing(data: FixedPointData) -> CheckOutcome:
+    for j in range(data.n):
+        value = reference_abbv_c1_power(data, j).value
+        if value != 0:
+            return CheckOutcome("abbv_vanishing", False, {"power": j, "value": str(value)})
+    return CheckOutcome("abbv_vanishing", True)
+
+
+def reference_check_chern_classes(data: FixedPointData) -> CheckOutcome:
+    analysis = reference_chern_map_analysis(data)
+    if analysis.zero_required and analysis.violations:
+        return CheckOutcome(
+            "chern_class_map",
+            False,
+            {
+                "reason": "class sum must vanish",
+                "values": list(analysis.violations),
+                "distinct_values": analysis.distinct_values,
+            },
+        )
+    if analysis.somewhere_injective and not analysis.bound_met:
+        return CheckOutcome(
+            "chern_class_map",
+            False,
+            {
+                "reason": "somewhere-injective map needs at least n + 1 points",
+                "lower_bound": analysis.lower_bound,
+                "points": len(data.points),
+            },
+        )
+    return CheckOutcome("chern_class_map", True)
+
+
 @pytest.fixture(scope="session")
 def s2_a1():
     return load_data(fixture_path("s2_a1"))
@@ -164,7 +253,7 @@ nonzero_weight_st = st.integers(min_value=-4, max_value=4).filter(bool)
 
 
 @st.composite
-def data_st(draw, min_points=1, max_points=4, max_half_dim=3):
+def data_st(draw, min_points=1, max_points=4, max_half_dim=3, weights=nonzero_weight_st):
     """Arbitrary fixed-point data; satisfies no identity by construction."""
     n = draw(st.integers(min_value=1, max_value=max_half_dim))
     k = draw(st.integers(min_value=min_points, max_value=max_points))
@@ -172,11 +261,53 @@ def data_st(draw, min_points=1, max_points=4, max_half_dim=3):
         FixedPointDatum(
             f"p{index + 1}",
             draw(st.sampled_from((1, -1))),
-            tuple(draw(nonzero_weight_st) for _ in range(n)),
+            tuple(draw(weights) for _ in range(n)),
         )
         for index in range(k)
     )
     return FixedPointData("random", n, points)
+
+
+@st.composite
+def paired_data_st(draw, points, half_dim, max_weight, balanced=True):
+    """Data whose k * n weight slots are matched in pairs of equal magnitude.
+
+    Every pair adds 2 to the total of its magnitude, so the data passes
+    `hattori_parity`.  With ``balanced`` the second slot's weight is chosen
+    so that the pair's signed counts cancel (sign(q) * sign(w_q) =
+    -sign(p) * sign(w_p)), so the data passes `weight_balance`.  Every datum
+    passing the respective check arises this way: match the slots of each
+    magnitude that cancel (for balance) or just pair them up (for parity).
+    ``points * half_dim`` must be even.
+    """
+    signs = [draw(st.sampled_from((1, -1))) for _ in range(points)]
+    slots = draw(st.permutations([p for p in range(points) for _ in range(half_dim)]))
+    weights: list[list[int]] = [[] for _ in range(points)]
+    for first, second in zip(slots[0::2], slots[1::2]):
+        w = draw(st.integers(1, max_weight)) * draw(st.sampled_from((1, -1)))
+        weights[first].append(w)
+        if balanced:
+            # contributions sign * sign(w) must cancel: choose the sign of
+            # the second weight accordingly
+            weights[second].append(-w * signs[first] * signs[second])
+        else:
+            weights[second].append(w * draw(st.sampled_from((1, -1))))
+    return FixedPointData(
+        "paired",
+        half_dim,
+        tuple(
+            FixedPointDatum(f"p{index + 1}", signs[index], tuple(weights[index]))
+            for index in range(points)
+        ),
+    )
+
+
+@st.composite
+def paired_shape_st(draw, max_points=6, max_half_dim=4, max_weight=5, balanced=True):
+    """`paired_data_st` at a drawn shape (k, n) with k * n even."""
+    n = draw(st.integers(1, max_half_dim))
+    k = draw(st.sampled_from([k for k in range(1, max_points + 1) if k * n % 2 == 0]))
+    return draw(paired_data_st(k, n, max_weight, balanced))
 
 
 @st.composite

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
+import io
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fpkit.classify
+import fpkit.identities
 from fpkit.classify import (
     FILTER_NAMES,
     FLAG_TEXT,
@@ -20,10 +28,17 @@ from fpkit.classify import (
     survey,
     trichotomy_match,
 )
-from fpkit.data import serialize_data
-from fpkit.identities import all_passed, evaluate_filters, validate_all
+from fpkit.cli import main
+from fpkit.data import FixedPointData, serialize_data
+from fpkit.identities import (
+    all_passed,
+    check_weight_balance,
+    evaluate_filters,
+    spec_filters,
+    validate_all,
+)
 from fpkit.multigraph import build_multigraph, describes, induced_data
-from tests.conftest import make_data
+from tests.conftest import make_data, paired_data_st
 
 # (points, half_dim) shapes the generator covers at max label 5
 FEASIBLE_SHAPES = [
@@ -178,7 +193,7 @@ class TestEnumeration:
         bounds = SearchBounds(*bounds)
         assert survey(bounds).to_dict() == brute_force_survey(bounds)
 
-    def test_unbalanced_candidates_never_built(self, monkeypatch):
+    def test_only_survivors_built(self, monkeypatch):
         calls = []
 
         def counting(specs, n):
@@ -187,8 +202,30 @@ class TestEnumeration:
 
         monkeypatch.setattr(fpkit.classify, "_candidate", counting)
         report = survey(SearchBounds(2, 3, 3))
-        assert len(calls) == report.candidates - report.rejects["weight_balance"]
-        assert len(calls) == 184
+        assert len(calls) == len(report.survivors)
+        assert len(calls) == 60
+
+    def test_rejected_candidates_make_no_data_or_fraction(self, monkeypatch):
+        # (4,2,2): 503 balanced candidates, 426 of them rejected by
+        # min_weight_index_balance or abbv_vanishing
+        built, fractions = [], []
+        original_init = FixedPointData.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original_init(self, *args, **kwargs)
+
+        class CountingFraction(fpkit.identities.Fraction):
+            def __new__(cls, *args, **kwargs):
+                fractions.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FixedPointData, "__init__", counting_init)
+        monkeypatch.setattr(fpkit.identities, "Fraction", CountingFraction)
+        report = survey(SearchBounds(4, 2, 2))
+        assert report.candidates - report.rejects["weight_balance"] == 503
+        assert len(built) == len(report.survivors) == 77
+        assert fractions == []
 
     def test_oversized_bounds_refused(self):
         with pytest.raises(ValueError, match="survey too large"):
@@ -360,3 +397,130 @@ class TestRandomGeneration:
         for seed in range(10):
             graph = random_multigraph(seed, 2, 3, 1)
             assert all(e.label == 1 for e in graph.edges)
+
+
+@functools.cache
+def _survey_filter(bounds: SearchBounds):
+    universe = _point_universe(bounds)
+    return universe, {spec: index for index, spec in enumerate(universe)}, spec_filters(
+        universe, bounds.half_dim
+    )
+
+
+class TestSurveyVerdict:
+    """The survey's verdict on summed per-spec terms is `evaluate_filters`'."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_evaluate_filters(self, draw):
+        n = draw.draw(st.integers(1, 4), label="n")
+        k = draw.draw(
+            st.sampled_from([k for k in range(1, 7) if k * n % 2 == 0]), label="k"
+        )
+        bounds = SearchBounds(k, n, draw.draw(st.integers(1, 5), label="W"))
+        universe, position, first_failure = _survey_filter(bounds)
+        data = draw.draw(paired_data_st(k, n, bounds.max_weight))
+        assert check_weight_balance(data)
+        positions = tuple(sorted(position[(p.sign, p.weights)] for p in data.points))
+        specs = tuple(universe[i] for i in positions)
+        outcomes, passed = evaluate_filters(_candidate(specs, n))
+        assert first_failure(positions) == (None if passed else outcomes[-1].name)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_multiset_gets_first_failure_after_weight_balance(self, draw):
+        # arbitrary positions, and paired data that passes hattori_parity but
+        # rarely weight balance, reach hattori_parity and chern_sum too;
+        # chern_class_map is never a first failure, as abbv_vanishing implies
+        # it (Vandermonde), so its branch is checked on the passes
+        n = draw.draw(st.integers(1, 4), label="n")
+        k = draw.draw(st.integers(1, 6), label="k")
+        bounds = SearchBounds(k, n, draw.draw(st.integers(1, 5), label="W"))
+        universe, position, first_failure = _survey_filter(bounds)
+        if k * n % 2 == 0 and draw.draw(st.booleans(), label="paired"):
+            data = draw.draw(paired_data_st(k, n, bounds.max_weight, balanced=False))
+            chosen = [position[(p.sign, p.weights)] for p in data.points]
+        else:
+            chosen = draw.draw(
+                st.lists(st.integers(0, len(universe) - 1), min_size=k, max_size=k),
+                label="positions",
+            )
+        positions = tuple(sorted(chosen))
+        outcomes = validate_all(_candidate(tuple(universe[i] for i in positions), n))
+        failed = [outcome.name for outcome in outcomes[1:] if not outcome.passed]
+        assert first_failure(positions) == (failed[0] if failed else None)
+
+
+def semifree_survivor_count(points: int, half_dim: int) -> int:
+    """sum over integers T with |T| * 2^n <= k and k - |T| * 2^n even of
+    C(n + (k - |T| * 2^n) / 2, n).
+
+    At W = 1 a point is fixed by its sign and index.  The survivors are the
+    multisets of (k - |T| * 2^n) / 2 mirror pairs, one of n + 1 weight sets
+    each, joined with |T| copies of the binomial pattern (C(n, i) points of
+    index i) of sign sign(T).
+    """
+    block = 2**half_dim
+    total = 0
+    for copies in range(-(points // block), points // block + 1):
+        rest = points - abs(copies) * block
+        if rest % 2 == 0:
+            total += math.comb(half_dim + rest // 2, half_dim)
+    return total
+
+
+@pytest.mark.parametrize(
+    "points,half_dim,expected",
+    [
+        (2, 1, 4),
+        (4, 1, 9),
+        (4, 2, 8),
+        (6, 2, 16),
+        (8, 2, 29),
+        (6, 3, 20),
+        (8, 3, 37),
+        (4, 4, 15),
+        (3, 1, 0),
+        (5, 2, 0),
+        (3, 3, 0),
+        (7, 1, 0),
+    ],
+)
+def test_semifree_closed_form(points, half_dim, expected):
+    # the semi-free theorem's count, a certificate sharing no code with the
+    # survey
+    assert semifree_survivor_count(points, half_dim) == expected
+    assert len(survey(SearchBounds(points, half_dim, 1)).survivors) == expected
+
+
+#: sha256 of `fpkit classify` stdout on the benchmark's survey ladder.
+LADDER_DIGESTS = {
+    ((2, 2, 4), "json"): "fae4e827669471a392bd2f12db7cde440e7bb329e0836796740da466f2460b20",
+    ((2, 2, 4), "text"): "6385b72dc558613a4296fda680b13027326d14fb4c0ff507e014559d349ae21b",
+    ((2, 3, 3), "json"): "eae8423b040ec7d2da4e68ab8400a58d4a536cba5152fec522f70adc88995ad7",
+    ((2, 3, 3), "text"): "f80d35b931e8d2789e03f930492ff9cb9dddc4cee4f2e8790d6ad31265b725e9",
+    ((4, 2, 2), "json"): "209dc9838d7e2cf7905ae90120d7e66e8dd1f52a89b3219c112a5dc76a0b7c6f",
+    ((4, 2, 2), "text"): "9c751903c6cd51e9a7dd35519865f85f721eb8c65c4cb693067b7bf892d35f9b",
+    ((4, 1, 5), "json"): "63971de3c4d38b8a0cc11d540fffd9cdd851ad2b0e4aa80225ce684228c1ed18",
+    ((4, 1, 5), "text"): "0888ed2d6e39f7fd8a8ac19475be2dda99aabea7f165df320ca8cc8ec8e1873b",
+    ((3, 2, 3), "json"): "5e38a7521cb59da97d15ebcb574c6a12928563cd3876a7cec458c27b74df41aa",
+    ((3, 2, 3), "text"): "cdade5009c9fd9effb9ed43c57d9aabba99fdb8ce46005e9892d7953a8dcc562",
+    ((2, 3, 4), "json"): "16daaebeca6178bc83c943d19e4fcd393cbc33c141f14c073b2c41a25c7be5f0",
+    ((2, 3, 4), "text"): "ad42f8db65b5e77cf32a24f3145d7e393806b7565e5ff24306e0dd11f82b459d",
+    ((2, 4, 3), "json"): "16fa0d7049ea109e4328f47e68db30a78cf8d85eaf60ddbb65e81ef19958bd3f",
+    ((2, 4, 3), "text"): "d7cc2461e7b0a4b4649b189449ea51c13835840bf9f3e89f8ec05bd4fda1d6ed",
+}
+
+
+@pytest.mark.parametrize("bounds,fmt", sorted(LADDER_DIGESTS))
+def test_ladder_stdout_digest(bounds, fmt):
+    k, n, w = bounds
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(
+            ["classify", "--points", str(k), "--dim", str(2 * n),
+             "--max-weight", str(w), "--format", fmt]
+        )
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == LADDER_DIGESTS[bounds, fmt]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpkit.classify import random_graph_data
+from fpkit.data import load_data
 from fpkit.identities import (
     CheckOutcome,
     abbv_c1_power,
@@ -26,7 +27,19 @@ from fpkit.identities import (
     validate_all,
 )
 from fpkit.multigraph import induced_data
-from tests.conftest import data_st, make_data, sample_multigraph
+from tests.conftest import (
+    ALL_FIXTURES,
+    data_st,
+    fixture_path,
+    flipped,
+    make_data,
+    paired_shape_st,
+    reference_abbv_c1_power,
+    reference_chern_map_analysis,
+    reference_check_abbv_vanishing,
+    reference_check_chern_classes,
+    sample_multigraph,
+)
 
 FIXTURE_NAMES = ["s2_a1", "s2_a3", "s6", "s2n", "s8", "semifree"]
 
@@ -373,3 +386,127 @@ class TestGraphInducedInvariants:
             if produced >= 25:
                 break
         assert produced >= 10  # the configuration model does produce graphs
+
+
+#: Weights up to 10**6 in magnitude, where the common denominator is large.
+large_weight_st = st.integers(min_value=-(10**6), max_value=10**6).filter(bool)
+
+
+def assert_matches_fraction_reference(data) -> None:
+    """The integer route equals the direct Fraction sums: every AbbvValue,
+    the Chern-map analysis with its class sums, and both checks' outcomes
+    with their witnesses."""
+    for j in range(data.n + 2):
+        value = abbv_c1_power(data, j)
+        assert value == reference_abbv_c1_power(data, j)
+        assert value.to_dict() == reference_abbv_c1_power(data, j).to_dict()
+    analysis = chern_map_analysis(data)
+    assert analysis == reference_chern_map_analysis(data)
+    assert analysis.to_dict() == reference_chern_map_analysis(data).to_dict()
+    assert check_abbv_vanishing(data) == reference_check_abbv_vanishing(data)
+    assert check_chern_classes(data) == reference_check_chern_classes(data)
+
+
+class TestIntegerLocalizationAgainstFractions:
+    """The localization sums are integers over a common denominator; the
+    test-only Fraction sums are their independent reference."""
+
+    @given(data_st(min_points=0, max_points=6, max_half_dim=4))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_data(self, data):
+        assert_matches_fraction_reference(data)
+
+    @given(data_st(max_points=5, max_half_dim=4, weights=large_weight_st))
+    @settings(max_examples=150, deadline=None)
+    def test_weights_up_to_a_million(self, data):
+        assert_matches_fraction_reference(data)
+
+    @given(paired_shape_st(max_weight=6))
+    @settings(max_examples=150, deadline=None)
+    def test_balanced_data(self, data):
+        # here the sums often vanish, and the witnesses come from later powers
+        assert_matches_fraction_reference(data)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures_and_flipped_copies(self, name):
+        data = load_data(fixture_path(name))
+        assert_matches_fraction_reference(data)
+        assert_matches_fraction_reference(flipped(data))
+
+
+class TestFilterImplications:
+    """Implications between the non-strict checks, each proved in its
+    docstring and pinned on arbitrary data mixed with data that meets the
+    premise by construction.  They are why the survey's weight-balance join
+    leaves nothing for `hattori_parity`, `odd_points_even_dim` and
+    `chern_sum` to reject.
+
+    Notation: eps_p is the sign of point p, #_p(w) its multiplicity of the
+    weight w, and c1(p) the sum of its weights.
+    """
+
+    @given(
+        st.one_of(
+            data_st(max_points=6, max_half_dim=4),
+            data_st(max_points=6, max_half_dim=4, weights=large_weight_st),
+            paired_shape_st(max_weight=10**6),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weight_balance_implies_hattori_parity(self, data):
+        """Weight balance => hattori_parity.
+
+        Proof: balance says S_m = sum_p eps_p * (#_p(m) - #_p(-m)) = 0 for
+        every m > 0.  As eps_p = +-1 is odd, eps_p * x = x (mod 2), so
+        S_m = sum_p (#_p(m) - #_p(-m)) = sum_p (#_p(m) + #_p(-m)) (mod 2),
+        and the right-hand side is the parity total of m.  It is therefore
+        even.
+        """
+        if check_weight_balance(data):
+            assert check_hattori_parity(data)
+
+    @given(
+        st.one_of(
+            data_st(max_points=6, max_half_dim=4),
+            data_st(max_points=6, max_half_dim=4, weights=large_weight_st),
+            paired_shape_st(max_weight=10**6),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weight_balance_implies_chern_sum(self, data):
+        """Weight balance => chern_sum.
+
+        Proof: group the weights of each point by magnitude.  Then
+        sum_p eps_p * c1(p) = sum_p eps_p * sum_{m > 0} m * (#_p(m) - #_p(-m))
+        = sum_{m > 0} m * S_m with S_m as above, and every S_m is 0.
+        """
+        if check_weight_balance(data):
+            assert check_c1_sum(data)
+
+    @given(
+        st.one_of(
+            data_st(max_points=7, max_half_dim=5),
+            paired_shape_st(max_points=7, max_half_dim=5, balanced=False),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hattori_parity_implies_odd_points_even_dim(self, data):
+        """hattori_parity => odd_points_even_dim.
+
+        Proof: each of the k points has n weights, so summing the parity
+        totals over all magnitudes counts every weight once:
+        sum_{m > 0} sum_p (#_p(m) + #_p(-m)) = k * n.  Every total is even,
+        so k * n is even, and k and n are not both odd.
+        """
+        if check_hattori_parity(data):
+            assert check_odd_count_even_n(data)
+
+    @given(
+        paired_shape_st(max_points=7, max_half_dim=5, max_weight=10**6),
+        paired_shape_st(max_points=7, max_half_dim=5, balanced=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_premises_are_reached(self, balanced, paired):
+        # the paired strategies meet the premises the tests above need
+        assert check_weight_balance(balanced)
+        assert check_hattori_parity(paired)
